@@ -21,6 +21,7 @@ from .correlators import (
     TripartiteCorrelatorTable,
     check_no_signaling,
     chsh,
+    chsh_combination,
     from_probability_table,
     pr_box_table,
 )
@@ -259,9 +260,8 @@ def _cmd_monogamy(args) -> tuple[dict, int]:
         b_ac = float(_require(payload, "chsh_ac"))
     else:
         tct = decode_tripartite_table(payload)
-        ab, ac = tct.pearson_ab, tct.pearson_ac
-        b_ab = float(ab[0, 0] + ab[1, 0] + ab[0, 1] - ab[1, 1])
-        b_ac = float(ac[0, 0] + ac[1, 0] + ac[0, 1] - ac[1, 1])
+        b_ab = chsh_combination(tct.pearson_ab)
+        b_ac = chsh_combination(tct.pearson_ac)
     res = multiparty.monogamy_check(b_ab, b_ac, tol=args.tol)
     res["chsh_ab"] = b_ab
     res["chsh_ac"] = b_ac

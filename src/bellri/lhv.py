@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import CorrelatorTable
+from .correlators import _VAR_FLOOR, CorrelatorTable
 from .errors import MalformedInputError
 from .linalg import SymmetricMatrix
 
@@ -32,8 +32,6 @@ __all__ = [
     "is_local",
     "product_cov_matrix",
 ]
-
-_VAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ two-qubit state (unit norm by construction), and each of the four observables
 is a unit Bloch vector from two polar angles, so every parameter vector
 decodes to a valid scenario; there are no constraints to project onto.
 
+An objective scores a ``QuantumMoments`` record. The search never builds a
+scenario per iterate: each parameter vector maps straight to its moments
+through the Bloch vectors m_A, m_B and the correlation tensor
+T_ij = <sigma_i x sigma_j> of the decoded state, in closed form. The generic
+route ``moments(ScenarioParams.from_vector(x).decode())`` gives the same
+record to rounding and serves as its oracle.
+
 The optimizer is a Nelder-Mead simplex with deterministic multistart:
 restart r draws its start from a generator seeded with seed + r, and each
 converged simplex is rebuilt twice around its best vertex at a smaller scale
@@ -19,8 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlators import chsh_combination
 from .errors import BellRIError, DegenerateScenarioError, MalformedInputError
-from .qmodel import QuantumScenario, bloch_observable, moments
+from .qmodel import (
+    QuantumMoments,
+    QuantumScenario,
+    _bloch_vector,
+    _normalized_pair,
+    bloch_observable,
+)
 
 __all__ = [
     "ScenarioParams",
@@ -34,7 +48,6 @@ __all__ = [
 ]
 
 N_PARAMS = 14
-SQRT8 = 2.0 * math.sqrt(2.0)
 
 DEGENERATE_PENALTY = -1e6   # finite sentinel for zero-variance iterates, below any
                             # value a penalized objective can reach near an optimum
@@ -110,8 +123,12 @@ class OptConfig:
     init_step: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_evals < N_PARAMS + 2 or self.tol <= 0:
+        if self.restarts < 1 or self.max_evals < N_PARAMS + 2 or self.refine_stages < 0:
             raise MalformedInputError("config values must be positive and sane")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise MalformedInputError("tol must be finite and positive")
+        if not (math.isfinite(self.init_step) and self.init_step > 0):
+            raise MalformedInputError("init_step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -127,8 +144,80 @@ class OptResult:
             raise MalformedInputError("best_value must be finite")
 
 
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _two_qubit_moments(x) -> QuantumMoments:
+    """Moments of the scenario a parameter vector decodes to, in closed form.
+
+    Write the decoded state as the amplitude matrix M = [[a, b], [c, d]]
+    (rows Alice, columns Bob; a is real). Alice's Bloch vector m_A, Bob's
+    m_B and the rows of T_ij = <sigma_i x sigma_j> are quadratic in the
+    amplitudes. Every observable is a unit Bloch vector n, so (n.sigma)^2 = 1
+    and, with the pair identity (u.sigma)(v.sigma) = u.v + i (u x v).sigma,
+
+        <a.sigma> = a.m_A,   var = 1 - <a.sigma>^2,
+        cov_ij = a_i^T T b_j - <A_i><B_j>,
+        r_q = a_1.a_0 + i (a_1 x a_0).m_A - <A_1><A_0>   (Bob's alike).
+
+    Raises ``MalformedInputError`` on the vectors ``ScenarioParams.from_vector``
+    rejects and ``DegenerateScenarioError`` under the same variance floor as
+    ``moments``.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape != (N_PARAMS,):
+        raise MalformedInputError(f"parameter vector must have length {N_PARAMS}")
+    v = v.tolist()
+    if not all(map(math.isfinite, v)):
+        raise MalformedInputError("parameters must be finite")
+    t1, t2, t3, p1, p2, p3 = v[:6]
+    s1 = math.sin(t1)
+    s12 = s1 * math.sin(t2)
+    a = math.cos(t1)
+    b = s1 * math.cos(t2) * complex(math.cos(p1), math.sin(p1))
+    c = s12 * math.cos(t3) * complex(math.cos(p2), math.sin(p2))
+    d = s12 * math.sin(t3) * complex(math.cos(p3), math.sin(p3))
+    cc = c.conjugate()
+    ab, ac, ad = a * b, a * c, a * d
+    cb, cd, bd = cc * b, cc * d, b.conjugate() * d
+    na, nb, nc, nd = a * a, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
+    m_a = (2.0 * (ac.real + bd.real), 2.0 * (ac.imag + bd.imag), na + nb - nc - nd)
+    m_b = (2.0 * (ab.real + cd.real), 2.0 * (ab.imag + cd.imag), na + nc - nb - nd)
+    tx = (2.0 * (ad.real + cb.real), 2.0 * (ad.imag + cb.imag), 2.0 * (ac.real - bd.real))
+    ty = (2.0 * (ad.imag - cb.imag), 2.0 * (cb.real - ad.real), 2.0 * (ac.imag - bd.imag))
+    tz = (2.0 * (ab.real - cd.real), 2.0 * (ab.imag - cd.imag), na - nb - nc + nd)
+    alice = (_bloch_vector(v[6], v[7]), _bloch_vector(v[8], v[9]))
+    bob = (_bloch_vector(v[10], v[11]), _bloch_vector(v[12], v[13]))
+
+    def party(ns, m):
+        mean = [_dot(n, m) for n in ns]
+        var = [max(1.0 - mu * mu, 0.0) for mu in mean]
+        n1, n0 = ns[1], ns[0]
+        cross = (n1[1] * n0[2] - n1[2] * n0[1],
+                 n1[2] * n0[0] - n1[0] * n0[2],
+                 n1[0] * n0[1] - n1[1] * n0[0])
+        return mean, var, complex(_dot(n1, n0) - mean[1] * mean[0], _dot(cross, m))
+
+    mean_a, var_a, r_q_a = party(alice, m_a)
+    mean_b, var_b, r_q_b = party(bob, m_b)
+    nu_a, eta_a = _normalized_pair(var_a, r_q_a, "A")
+    nu_b, eta_b = _normalized_pair(var_b, r_q_b, "B")
+    # the rows a_i^T T, contracted with each b_j below
+    rows = [tuple(n[0] * tx[k] + n[1] * ty[k] + n[2] * tz[k] for k in range(3)) for n in alice]
+    cov = [[_dot(rows[i], bob[j]) - mean_a[i] * mean_b[j] for j in range(2)] for i in range(2)]
+    pearson = [[cov[i][j] / math.sqrt(var_a[i] * var_b[j]) for j in range(2)] for i in range(2)]
+    return QuantumMoments(
+        mean_a=np.array(mean_a), mean_b=np.array(mean_b),
+        var_a=np.array(var_a), var_b=np.array(var_b),
+        cov=np.array(cov), pearson=np.array(pearson),
+        eta_a=eta_a, eta_b=eta_b, nu_a=nu_a, nu_b=nu_b,
+        r_q_a=r_q_a, r_q_b=r_q_b,
+    )
+
+
 class _Evaluator:
-    """Wraps a scenario objective into a vector function with accounting."""
+    """Wraps a moments objective into a vector function with accounting."""
 
     def __init__(self, objective):
         self.objective = objective
@@ -136,10 +225,8 @@ class _Evaluator:
         self.maximum = -math.inf
 
     def __call__(self, x: np.ndarray) -> float:
-        params = ScenarioParams.from_vector(x)
-        sc = params.decode()
         try:
-            val = float(self.objective(sc))
+            val = float(self.objective(_two_qubit_moments(x)))
         except DegenerateScenarioError:
             val = DEGENERATE_PENALTY
         if not math.isfinite(val):
@@ -212,7 +299,7 @@ def _nelder_mead(f, x0: np.ndarray, step: float, tol: float, budget: list[int]) 
 
 
 def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
-    """Multistart simplex maximization of a scenario objective.
+    """Multistart simplex maximization of an objective on ``QuantumMoments``.
 
     Deterministic for a fixed (objective, config): restart r seeds its own
     generator with config.seed + r, restarts run independently, and ties
@@ -245,10 +332,9 @@ def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
     )
 
 
-def chsh_objective(sc: QuantumScenario) -> float:
-    """Pearson CHSH of a scenario; degenerate iterates score a finite penalty."""
-    pe = moments(sc).pearson
-    return float(pe[0, 0] + pe[1, 0] + pe[0, 1] - pe[1, 1])
+def chsh_objective(mom: QuantumMoments) -> float:
+    """Pearson CHSH of a moments record."""
+    return chsh_combination(mom.pearson)
 
 
 def eta_pinned_objective(target: float, weight: float):
@@ -258,10 +344,8 @@ def eta_pinned_objective(target: float, weight: float):
     as +target (the CHSH ceiling depends on eta^2 only).
     """
 
-    def objective(sc: QuantumScenario) -> float:
-        mom = moments(sc)
-        chsh = float(mom.pearson[0, 0] + mom.pearson[1, 0] + mom.pearson[0, 1] - mom.pearson[1, 1])
-        return chsh - weight * (abs(mom.eta_a) - target) ** 2
+    def objective(mom: QuantumMoments) -> float:
+        return chsh_combination(mom.pearson) - weight * (abs(mom.eta_a) - target) ** 2
 
     return objective
 
@@ -281,31 +365,29 @@ def trace_eta_curve(
     previous stage's optimum. Points that never pin are flagged infeasible
     rather than reported as maxima.
     """
+    targets = [float(t) for t in eta_grid]
+    if not all(0.0 <= t <= 1.0 for t in targets):
+        raise MalformedInputError("eta targets must lie in [0, 1]")
     out = []
-    for target in eta_grid:
-        target = float(target)
-        if not 0.0 <= target <= 1.0:
-            raise MalformedInputError("eta targets must lie in [0, 1]")
+    for target in targets:
         result = maximize(eta_pinned_objective(target, base_weight), config)
-        best = result.best_params
+        x = result.best_params.to_vector()
         evals = result.evaluations
         # escalate the pin from the located basin: the base weight trades a
         # small eta drift for smoothness, the follow-up stages remove it
-        for stage, weight in enumerate((base_weight * 1e2, base_weight * 1e4)):
+        for weight in (base_weight * 1e2, base_weight * 1e4):
             ev = _Evaluator(eta_pinned_objective(target, weight))
             budget = [config.max_evals]
-            x = best.to_vector()
             for step in (0.03, 0.003):
                 x, _ = _nelder_mead(ev, x, step, config.tol, budget)
-            best = ScenarioParams.from_vector(x)
             evals += ev.count
-        achieved = abs(moments(best.decode()).eta_a)
-        chsh = chsh_objective(best.decode())
+        mom = _two_qubit_moments(x)
+        achieved = abs(mom.eta_a)
         out.append(
             {
                 "eta": target,
                 "eta_achieved": float(achieved),
-                "max_chsh": float(chsh),
+                "max_chsh": chsh_objective(mom),
                 "feasible": bool(abs(achieved - target) <= pin_tol),
                 "evaluations": int(evals),
             }

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import CorrelatorTable, ProbabilityTable, TripartiteCorrelatorTable
+from .correlators import (
+    _VAR_FLOOR,
+    CorrelatorTable,
+    ProbabilityTable,
+    TripartiteCorrelatorTable,
+    chsh_combination,
+)
 from .errors import DegenerateScenarioError, MalformedInputError
 from .linalg import HermitianMatrix
 
@@ -56,7 +62,6 @@ __all__ = [
     "random_scenario",
 ]
 
-_VAR_FLOOR = 1e-12
 MAX_OBS_DIM = 32
 
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -224,16 +229,15 @@ def _party_moments(ex: _Expectations, party: int, obs) -> dict:
     return {"mean": np.array(m), "var": np.array(var), "r_q": r_q}
 
 
-def _normalized_pair(pm: dict, label: str) -> tuple[float, float]:
+def _normalized_pair(var, r_q: complex, label: str) -> tuple[float, float]:
+    """(nu, eta) of one party's pair; raises when either variance is at the floor."""
     for which in (0, 1):
-        if pm["var"][which] <= _VAR_FLOOR:
+        if var[which] <= _VAR_FLOOR:
             raise DegenerateScenarioError(
                 f"observable {label}{which} has vanishing variance; eta/nu undefined"
             )
-    s0s1 = math.sqrt(pm["var"][0] * pm["var"][1])
-    nu = pm["r_q"].real / s0s1
-    eta = -pm["r_q"].imag / s0s1
-    return nu, eta
+    s0s1 = math.sqrt(var[0] * var[1])
+    return r_q.real / s0s1, -r_q.imag / s0s1
 
 
 @dataclass(frozen=True)
@@ -294,8 +298,8 @@ def moments(sc: QuantumScenario) -> QuantumMoments:
             for j in range(2):
                 ab = ex.value({0: sc.alice_obs[i].matrix, 1: sc.bob_obs[j].matrix})
                 cov[i, j] = float(ab.real) - pa["mean"][i] * pb["mean"][j]
-    nu_a, eta_a = _normalized_pair(pa, "A")
-    nu_b, eta_b = _normalized_pair(pb, "B")
+    nu_a, eta_a = _normalized_pair(pa["var"], pa["r_q"], "A")
+    nu_b, eta_b = _normalized_pair(pb["var"], pb["r_q"], "B")
     sig = np.sqrt(np.outer(pa["var"], pb["var"]))
     pearson = cov / sig
     return QuantumMoments(
@@ -435,8 +439,7 @@ def quantum_tlm_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
 def tsirelson_eta_bound(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     """CHSH magnitude against 2 sqrt(2) sqrt(1 - max(eta_A^2, eta_B^2))."""
     mom = moments(sc)
-    pe = mom.pearson
-    chsh = float(pe[0, 0] + pe[1, 0] + pe[0, 1] - pe[1, 1])
+    chsh = chsh_combination(mom.pearson)
     eta2 = max(mom.eta_a**2, mom.eta_b**2)
     bound = SQRT8 * math.sqrt(max(0.0, 1.0 - eta2))
     return {"chsh": chsh, "bound": bound, "pass": abs(chsh) <= bound + tol}
@@ -450,8 +453,7 @@ def chsh_r_tradeoff_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     for anything else.
     """
     mom = moments(sc)
-    pe = mom.pearson
-    chsh = float(pe[0, 0] + pe[1, 0] + pe[0, 1] - pe[1, 1])
+    chsh = chsh_combination(mom.pearson)
     r_term = float(abs(mom.r_q_a) ** 2 / (mom.var_a[0] * mom.var_a[1]))
     chsh_term = (chsh / SQRT8) ** 2
     return {
@@ -575,20 +577,15 @@ def outcome_distribution(sc: QuantumScenario) -> ProbabilityTable:
 # ---------------------------------------------------------------------------
 
 
-def bloch_observable(theta: float, phi: float) -> Observable:
-    """Qubit observable n . sigma with unit Bloch vector from polar angles.
+def _bloch_vector(theta: float, phi: float) -> tuple[float, float, float]:
+    s = math.sin(theta)
+    return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
 
-    Built entrywise so the matrix is exactly Hermitian, which lets the
-    optimizer's per-iterate decoding skip revalidation.
-    """
-    nx = math.sin(theta) * math.cos(phi)
-    ny = math.sin(theta) * math.sin(phi)
-    nz = math.cos(theta)
-    m = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]], dtype=np.complex128)
-    m.setflags(write=False)
-    obs = object.__new__(Observable)
-    object.__setattr__(obs, "matrix", m)
-    return obs
+
+def bloch_observable(theta: float, phi: float) -> Observable:
+    """Qubit observable n . sigma with unit Bloch vector from polar angles."""
+    nx, ny, nz = _bloch_vector(theta, phi)
+    return Observable(np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]))
 
 
 def planar_observable(angle: float) -> Observable:

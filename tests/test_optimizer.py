@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from bellri.errors import MalformedInputError
+from bellri import optimizer
+from bellri.errors import DegenerateScenarioError, MalformedInputError
 from bellri.optimizer import (
     N_PARAMS,
     ObjectiveError,
     OptConfig,
     ScenarioParams,
+    _two_qubit_moments,
     chsh_objective,
     eta_pinned_objective,
     maximize,
@@ -38,19 +40,71 @@ class TestParams:
                 np.testing.assert_allclose(o.matrix, o.matrix.conj().T, atol=1e-15)
 
     def test_bad_vector_rejected(self):
-        with pytest.raises(MalformedInputError):
-            ScenarioParams.from_vector(np.zeros(5))
+        # the generic decode and the optimizer's closed-form route reject alike
+        bad = [np.zeros(5)]
+        for value in (np.nan, np.inf, -np.inf):
+            x = np.full(N_PARAMS, 0.3)
+            x[9] = value
+            bad.append(x)
+        for x in bad:
+            with pytest.raises(MalformedInputError):
+                ScenarioParams.from_vector(x)
+            with pytest.raises(MalformedInputError):
+                _two_qubit_moments(x)
+
+
+class TestClosedFormMoments:
+    """The optimizer's closed-form record against the generic moments route."""
+
+    @pytest.mark.parametrize("half_width", [math.pi, 50.0])
+    def test_matches_generic_moments(self, half_width):
+        rng = np.random.default_rng(int(half_width))
+        checked = 0
+        for _ in range(500):
+            x = rng.uniform(-half_width, half_width, size=N_PARAMS)
+            ref = moments(ScenarioParams.from_vector(x).decode())
+            mom = _two_qubit_moments(x)
+            for name in ("mean_a", "mean_b", "var_a", "var_b", "cov"):
+                np.testing.assert_allclose(getattr(mom, name), getattr(ref, name), rtol=0, atol=1e-13)
+            min_var = min(ref.var_a.min(), ref.var_b.min())
+            if min_var <= 1e-6:
+                continue
+            # each route's variances and covariances carry a few ulps of
+            # absolute rounding, and dividing by sigma_i sigma_j >= min_var
+            # scales it by 1 / min_var: the bound is 1e-12 for min_var >= 1e-3
+            # and widens as 1 / min_var below
+            tol = max(1e-12, 8 * np.finfo(np.float64).eps / min_var)
+            np.testing.assert_allclose(mom.pearson, ref.pearson, rtol=0, atol=tol)
+            for name in ("eta_a", "eta_b", "nu_a", "nu_b"):
+                assert abs(getattr(mom, name) - getattr(ref, name)) <= tol, name
+            for name in ("r_q_a", "r_q_b"):
+                assert abs(getattr(mom, name) - getattr(ref, name)) <= 1e-13, name
+            checked += 1
+        assert checked >= 490
 
 
 class TestMaximize:
     def test_constant_objective(self):
-        res = maximize(lambda sc: 3.25, OptConfig(restarts=1, max_evals=64, seed=0))
+        res = maximize(lambda mom: 3.25, OptConfig(restarts=1, max_evals=64, seed=0))
         assert res.best_value == 3.25
         assert res.trajectory_max == 3.25
 
     def test_nonfinite_objective_aborts_with_dump(self):
         with pytest.raises(ObjectiveError, match=r"\["):
-            maximize(lambda sc: float("nan"), OptConfig(restarts=1, max_evals=64, seed=0))
+            maximize(lambda mom: float("nan"), OptConfig(restarts=1, max_evals=64, seed=0))
+
+    def test_bad_config_rejected(self):
+        for bad in (
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"init_step": float("nan")},
+            {"init_step": float("inf")},
+            {"init_step": 0.0},
+            {"init_step": -0.1},
+            {"refine_stages": -1},
+        ):
+            with pytest.raises(MalformedInputError):
+                OptConfig(**bad)
 
     def test_reproducible(self):
         cfg = OptConfig(restarts=3, max_evals=400, seed=7)
@@ -63,7 +117,7 @@ class TestMaximize:
 
     def test_best_value_reproduces_at_best_params(self):
         res = maximize(chsh_objective, OptConfig(restarts=4, max_evals=800, seed=3))
-        assert chsh_objective(res.best_params.decode()) == pytest.approx(
+        assert chsh_objective(moments(res.best_params.decode())) == pytest.approx(
             res.best_value, abs=1e-12
         )
 
@@ -78,10 +132,10 @@ class TestMaximize:
         # objective must absorb them as finite penalties, not crash
         x = np.zeros(N_PARAMS)
         sc = ScenarioParams.from_vector(x).decode()
-        from bellri.errors import DegenerateScenarioError
-
         with pytest.raises(DegenerateScenarioError):
             moments(sc)
+        with pytest.raises(DegenerateScenarioError):
+            _two_qubit_moments(x)
         res = maximize(chsh_objective, OptConfig(restarts=1, max_evals=200, seed=11))
         assert math.isfinite(res.best_value)
 
@@ -91,7 +145,7 @@ class TestEtaCurve:
         res = maximize(eta_pinned_objective(0.5, 1e3), OptConfig(restarts=24, max_evals=2000, seed=0))
         mom = moments(res.best_params.decode())
         assert abs(mom.eta_a) == pytest.approx(0.5, abs=2e-3)
-        chsh = chsh_objective(res.best_params.decode())
+        chsh = chsh_objective(moments(res.best_params.decode()))
         assert chsh == pytest.approx(SQRT8 * math.sqrt(1 - 0.25), abs=5e-3)
 
     def test_two_point_curve(self):
@@ -112,6 +166,16 @@ class TestEtaCurve:
         assert abs(pts[0]["max_chsh"]) <= ceiling + 5e-3
         assert abs(pts[0]["max_chsh"]) <= 0.15
 
-    def test_bad_target_rejected(self):
+    def test_bad_target_rejected(self, monkeypatch):
         with pytest.raises(MalformedInputError):
             trace_eta_curve([1.5], OptConfig(restarts=1, max_evals=64, seed=0))
+        with pytest.raises(MalformedInputError):
+            trace_eta_curve([float("nan")], OptConfig(restarts=1, max_evals=64, seed=0))
+
+        # every target is checked before the first search starts
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran before the targets were validated")
+
+        monkeypatch.setattr(optimizer, "maximize", no_search)
+        with pytest.raises(MalformedInputError):
+            trace_eta_curve([0.5, 1.5], OptConfig(restarts=1, max_evals=64, seed=0))
