@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,24 +27,6 @@ from .correlators import (
     pr_box_table,
 )
 from .errors import BellRIError, MalformedInputError
-
-VERBS = (
-    "classify",
-    "ri-intervals",
-    "tlm-check",
-    "epsilon",
-    "pr-demo",
-    "simulate",
-    "quantum-bound",
-    "chsh-r-tradeoff",
-    "monogamy",
-    "nparty",
-    "zeta-bound",
-    "optimize",
-    "eta-curve",
-    "geometry",
-)
-
 
 # ---------------------------------------------------------------------------
 # Input decoding
@@ -314,75 +297,28 @@ def _cmd_eta_curve(args) -> tuple[dict, int]:
 
 def _cmd_geometry(args) -> tuple[dict, int]:
     ct, _ = decode_bipartite_table(_read_payload(args.input))
-    return emit_geometry(ct, tol=args.tol), 0
+    return ri.emit_geometry(ct, tol=args.tol), 0
 
 
-def emit_geometry(ct: CorrelatorTable, tol: float = 1e-9) -> dict:
-    """Disk geometry of the two admissible regions in the r' plane.
-
-    Each remote setting confines the normalized uncertainty parameter to a
-    disk centered on the real axis; the real-axis restriction is the pair of
-    feasibility intervals, classified as disjoint, tangent, or overlapping.
-    """
-    circles = []
-    intervals = []
-    for j in (0, 1):
-        iv = ri.r_interval_bipartite(ct, j)
-        center = 0.5 * (iv.lo + iv.hi)
-        radius = 0.5 * (iv.hi - iv.lo)
-        circles.append({"context": iv.context, "center": center, "radius": radius})
-        intervals.append(iv)
-    gap = max(iv.lo for iv in intervals) - min(iv.hi for iv in intervals)
-    if gap > tol:
-        relation = "disjoint"
-        touch = None
-    elif gap >= -tol:
-        relation = "tangent"
-        touch = [0.5 * (max(iv.lo for iv in intervals) + min(iv.hi for iv in intervals)), 0.0]
-    else:
-        relation = "overlapping"
-        touch = None
-    out = {
-        "circles": circles,
-        "relation": relation,
-        "gap": max(0.0, gap),
-        "intervals": [iv.to_json_dict() for iv in intervals],
-    }
-    if touch is not None:
-        out["intersection_point"] = touch
-    return out
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "ri-intervals": _cmd_ri_intervals,
-    "tlm-check": _cmd_tlm_check,
-    "epsilon": _cmd_epsilon,
-    "pr-demo": _cmd_pr_demo,
-    "simulate": _cmd_simulate,
-    "quantum-bound": _cmd_quantum_bound,
-    "chsh-r-tradeoff": _cmd_chsh_r_tradeoff,
-    "monogamy": _cmd_monogamy,
-    "nparty": _cmd_nparty,
-    "zeta-bound": _cmd_zeta_bound,
-    "optimize": _cmd_optimize,
-    "eta-curve": _cmd_eta_curve,
-    "geometry": _cmd_geometry,
+# verb -> (handler, reads --input); the order is the --help order
+_VERB_TABLE = {
+    "classify": (_cmd_classify, True),
+    "ri-intervals": (_cmd_ri_intervals, True),
+    "tlm-check": (_cmd_tlm_check, True),
+    "epsilon": (_cmd_epsilon, True),
+    "pr-demo": (_cmd_pr_demo, False),
+    "simulate": (_cmd_simulate, True),
+    "quantum-bound": (_cmd_quantum_bound, True),
+    "chsh-r-tradeoff": (_cmd_chsh_r_tradeoff, True),
+    "monogamy": (_cmd_monogamy, True),
+    "nparty": (_cmd_nparty, True),
+    "zeta-bound": (_cmd_zeta_bound, True),
+    "optimize": (_cmd_optimize, False),
+    "eta-curve": (_cmd_eta_curve, False),
+    "geometry": (_cmd_geometry, True),
 }
 
-_NEEDS_INPUT = {
-    "classify",
-    "ri-intervals",
-    "tlm-check",
-    "epsilon",
-    "simulate",
-    "quantum-bound",
-    "chsh-r-tradeoff",
-    "monogamy",
-    "nparty",
-    "zeta-bound",
-    "geometry",
-}
+VERBS = tuple(_VERB_TABLE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         "shared-uncertainty feasibility bounds.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in VERBS:
+    for verb, (_, needs_input) in _VERB_TABLE.items():
         p = sub.add_parser(verb)
-        if verb in _NEEDS_INPUT:
+        if needs_input:
             p.add_argument("--input", default="-", help="JSON file path, or - for stdin")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
@@ -415,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1e-9) <= 0:
-        print(json.dumps({"error": "tol must be positive"}), file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(json.dumps({"error": "tol must be positive and finite"}), file=sys.stderr)
         return 2
     try:
-        payload, code = _HANDLERS[args.verb](args)
+        payload, code = _VERB_TABLE[args.verb][0](args)
     except (BellRIError, ValueError, TypeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

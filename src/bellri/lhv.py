@@ -212,17 +212,3 @@ def product_cov_matrix(ens: LhvEnsemble) -> SymmetricMatrix:
     )
     return SymmetricMatrix.from_array(m, symmetrize=True)
 
-
-def product_cov_oracle(ens: LhvEnsemble) -> np.ndarray:
-    """Same matrix by brute force: enumerate vertex products and form the covariance."""
-    w = ens.weights
-    z = np.stack(
-        [
-            _VERTEX_VALUES[:, 0] * _VERTEX_VALUES[:, 2],
-            _VERTEX_VALUES[:, 1] * _VERTEX_VALUES[:, 2],
-            _VERTEX_VALUES[:, 0] * _VERTEX_VALUES[:, 3],
-            _VERTEX_VALUES[:, 1] * _VERTEX_VALUES[:, 3],
-        ]
-    )
-    mu = z @ w
-    return (z * w) @ z.T - np.outer(mu, mu)

@@ -1,17 +1,23 @@
 """Small dense symmetric/Hermitian kernel: PSD tests, eigenvalues, Schur complements.
 
 Every matrix inequality in this package reduces to positive semidefiniteness
-of a covariance-style block matrix of dimension 2..16, so the kernel is built
-for that regime and nothing else. The eigensolver is a cyclic Jacobi
-iteration (unconditionally stable at these sizes, no external solver
-assumptions); ``is_psd`` additionally uses closed-form eigenvalue bounds for
-n <= 3, which makes the grid-style feasibility sweeps cheap and gives the
-test suite two genuinely independent routes to the same answer.
+of a covariance-style block matrix of dimension 2..16: the r' context
+matrices, the bordered n-party matrix and its Schur reduction, and the
+quantum 3x3 Gram block. This module validates those blocks (square, finite,
+(conj-)symmetric, n <= 16) and hands the arithmetic to LAPACK through NumPy:
+the symmetric/Hermitian eigensolver for eigenvalues and PSD decisions, and
+Cholesky plus a linear solve for Schur complements.
 
 PSD tolerance is relative: a matrix passes when its minimum eigenvalue is
 >= -tol * max(1, spectral norm). The correlation bounds checked downstream
 sit exactly on PSD boundaries in their saturation cases, so an absolute zero
 test would flap.
+
+The Schur complement needs a strictly positive definite leading block. Its
+pivot rule is strict: the block is rejected with DegeneratePivotError when
+Cholesky fails or when any squared pivot |L_jj|^2 is <= 1e-13 times the
+largest entry, so a near-singular block is reported instead of being
+inverted.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ __all__ = [
 ]
 
 MAX_DIM = 16
-
-_TWO_PI_3 = 2.0 * math.pi / 3.0
 
 
 def _check_square_finite(a: np.ndarray) -> None:
@@ -137,181 +141,19 @@ def _coerce(m) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _wrap_like(a: np.ndarray) -> Matrix:
-    if np.iscomplexobj(a):
-        return HermitianMatrix.from_array(a, symmetrize=True)
-    return SymmetricMatrix.from_array(a, symmetrize=True)
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-
-def _jacobi_real(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for a real symmetric matrix. Returns (w, V), a = V diag(w) V^T."""
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for _sweep in range(60):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-17 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # rotate rows/columns p,q of a
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def _jacobi_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for a complex Hermitian matrix. Returns (w, V), a = V diag(w) V*."""
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n, dtype=np.complex128)
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for _sweep in range(60):
-        off = float(np.abs(np.tril(a, -1)).max(initial=0.0))
-        if off <= 1e-16 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-17 * scale:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary rotation with columns u_p = (c, -s*conj(phase)),
-                # u_q = (s*phase, c); reduces to the real Givens form at phase = 1
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - (s * np.conj(phase)) * col_q
-                a[:, q] = (s * phase) * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - (s * phase) * row_q
-                a[q, :] = (s * np.conj(phase)) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - (s * np.conj(phase)) * v[:, q]
-                v[:, q] = (s * phase) * vp + c * v[:, q]
-    w = np.real(np.diag(a)).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def eigh_sym(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition m = V diag(w) V* with w ascending (Jacobi)."""
-    a = _coerce(m)
-    if np.iscomplexobj(a):
-        return _jacobi_hermitian(a)
-    return _jacobi_real(a)
+    """Eigendecomposition m = V diag(w) V* with w ascending."""
+    return np.linalg.eigh(_coerce(m))
 
 
 def eigenvalues_sym(m) -> np.ndarray:
     """Eigenvalues of a symmetric/Hermitian matrix, ascending."""
-    w, _ = eigh_sym(m)
-    return w
-
-
-# ---------------------------------------------------------------------------
-# Closed-form eigenvalue bounds for n <= 3 (fast path used by is_psd)
-# ---------------------------------------------------------------------------
-
-
-def _abs2(z) -> float:
-    if isinstance(z, complex):
-        return z.real * z.real + z.imag * z.imag
-    return float(z) * float(z)
-
-
-def _eig_bounds_small(a: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a 1x1/2x2/3x3 (conj-)symmetric matrix, closed form."""
-    n = a.shape[0]
-    if n == 1:
-        x = float(a[0, 0].real)
-        return x, x
-    if n == 2:
-        a00 = float(a[0, 0].real)
-        a11 = float(a[1, 1].real)
-        mean = 0.5 * (a00 + a11)
-        radius = math.hypot(0.5 * (a00 - a11), abs(complex(a[0, 1])))
-        return mean - radius, mean + radius
-    a00 = float(a[0, 0].real)
-    a11 = float(a[1, 1].real)
-    a22 = float(a[2, 2].real)
-    a01 = complex(a[0, 1])
-    a02 = complex(a[0, 2])
-    a12 = complex(a[1, 2])
-    p1 = _abs2(a01) + _abs2(a02) + _abs2(a12)
-    q = (a00 + a11 + a22) / 3.0
-    if p1 == 0.0:
-        return min(a00, a11, a22), max(a00, a11, a22)
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    if p == 0.0:
-        return q, q
-    b00 = (a00 - q) / p
-    b11 = (a11 - q) / p
-    b22 = (a22 - q) / p
-    b01 = a01 / p
-    b02 = a02 / p
-    b12 = a12 / p
-    det_b = (
-        b00 * (b11 * b22 - _abs2(b12))
-        - b11 * _abs2(b02)
-        - b22 * _abs2(b01)
-        + 2.0 * (b01 * b12 * b02.conjugate()).real
-    )
-    r = max(-1.0, min(1.0, det_b / 2.0))
-    phi = math.acos(r) / 3.0
-    lam_max = q + 2.0 * p * math.cos(phi)
-    lam_min = q + 2.0 * p * math.cos(phi + _TWO_PI_3)
-    return lam_min, lam_max
+    return np.linalg.eigvalsh(_coerce(m))
 
 
 def spectral_norm(m) -> float:
     """Spectral norm (largest absolute eigenvalue)."""
-    a = _coerce(m)
-    if a.shape[0] <= 3:
-        lo, hi = _eig_bounds_small(a)
-        return max(abs(lo), abs(hi))
-    w = eigenvalues_sym(a)
+    w = eigenvalues_sym(m)
     return float(max(abs(w[0]), abs(w[-1])))
 
 
@@ -323,12 +165,8 @@ def is_psd(m, tol: float = 1e-9) -> bool:
     """
     if not (tol >= 0.0) or not math.isfinite(tol):
         raise MalformedInputError(f"tol must be a nonnegative finite scalar, got {tol}")
-    a = _coerce(m)
-    if a.shape[0] <= 3:
-        lam_min, lam_max = _eig_bounds_small(a)
-    else:
-        w = eigenvalues_sym(a)
-        lam_min, lam_max = float(w[0]), float(w[-1])
+    w = eigenvalues_sym(m)
+    lam_min, lam_max = float(w[0]), float(w[-1])
     norm = max(abs(lam_min), abs(lam_max))
     return lam_min >= -tol * max(1.0, norm)
 
@@ -341,36 +179,22 @@ def is_psd(m, tol: float = 1e-9) -> bool:
 def _cholesky_strict(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a strictly positive definite block.
 
-    Raises DegeneratePivotError when any pivot is not decisively positive;
-    the caller is expected to special-case zero-variance blocks itself.
+    Raises DegeneratePivotError when the factorization fails or any squared
+    pivot is not decisively positive; the caller is expected to special-case
+    zero-variance blocks itself.
     """
-    n = a.shape[0]
-    complex_input = np.iscomplexobj(a)
-    low = np.zeros_like(a, dtype=np.complex128 if complex_input else np.float64)
-    scale = max(float(np.abs(np.diag(a)).max(initial=0.0)), float(np.abs(a).max(initial=0.0)))
-    floor = 1e-13 * max(scale, 1e-300)
-    for j in range(n):
-        s = a[j, j].real - float(np.sum(np.abs(low[j, :j]) ** 2))
+    floor = 1e-13 * max(float(np.abs(a).max()), 1e-300)
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneratePivotError("leading block is not strictly positive definite") from exc
+    pivots = np.abs(np.diagonal(low)) ** 2
+    for j, s in enumerate(pivots):
         if s <= floor:
             raise DegeneratePivotError(
                 f"leading block is not strictly positive definite (pivot {j}: {s:.3e})"
             )
-        low[j, j] = math.sqrt(s)
-        for i in range(j + 1, n):
-            val = a[i, j] - np.sum(low[i, :j] * np.conj(low[j, :j]))
-            low[i, j] = val / low[j, j]
     return low
-
-
-def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve low @ x = b for lower-triangular low."""
-    n = low.shape[0]
-    x = np.array(b, dtype=low.dtype, copy=True)
-    for i in range(n):
-        if i:
-            x[i] -= low[i, :i] @ x[:i]
-        x[i] /= low[i, i]
-    return x
 
 
 def schur_complement(m, block_split: int) -> Matrix:
@@ -390,7 +214,7 @@ def schur_complement(m, block_split: int) -> Matrix:
     trail = a[k:, k:]          # D
     low = _cholesky_strict(lead)
     # A = L L*, so C A^{-1} C* = W* W with W = L^{-1} C*
-    w = _forward_solve(low, cross.conj().T)
+    w = np.linalg.solve(low, cross.conj().T)
     comp = trail - w.conj().T @ w
     if isinstance(m, SymmetricMatrix) or not np.iscomplexobj(a):
         return SymmetricMatrix.from_array(np.real(comp), symmetrize=True)

@@ -187,6 +187,10 @@ class _Expectations:
         for keep in _subsets(n):
             self._rho[keep] = _partial_trace(full, n, keep)
 
+    def rho(self, party: int) -> np.ndarray:
+        """Reduced density matrix of one party."""
+        return self._rho[(party,)]
+
     def value(self, ops: dict[int, np.ndarray]) -> complex:
         """<O_p1 x O_p2 x ...> for operators on distinct parties."""
         keep = tuple(sorted(ops))
@@ -219,16 +223,6 @@ def _partial_trace(full: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarra
     return t
 
 
-def _party_moments(ex: _Expectations, party: int, obs) -> dict:
-    """Means, variances, and the complex pair moment r_q = <X1 X0> - <X1><X0>."""
-    m = [float(ex.value({party: o.matrix}).real) for o in obs]
-    m2 = [float(ex.value({party: o.matrix @ o.matrix}).real) for o in obs]
-    var = [max(mm2 - mm * mm, 0.0) for mm2, mm in zip(m2, m)]
-    x1x0 = ex.value({party: obs[1].matrix @ obs[0].matrix})
-    r_q = complex(x1x0 - m[1] * m[0])
-    return {"mean": np.array(m), "var": np.array(var), "r_q": r_q}
-
-
 def _normalized_pair(var, r_q: complex, label: str) -> tuple[float, float]:
     """(nu, eta) of one party's pair; raises when either variance is at the floor."""
     for which in (0, 1):
@@ -256,11 +250,12 @@ class QuantumMoments:
     r_q_b: complex
 
 
-def _pure_party_moments(rho: np.ndarray, obs) -> dict:
-    """Party moments from a reduced density matrix (hot path, no einsum).
+def _party_moments(rho: np.ndarray, obs) -> dict:
+    """Means, variances, and the complex pair moment r_q = <X1 X0> - <X1><X0>.
 
-    tr(rho M) contracts as sum over rho[x, y] M[y, x], i.e. the plain dot of
-    rho.T with M flattened, no conjugation.
+    ``rho`` is the party's reduced density matrix. tr(rho M) contracts as
+    sum over rho[x, y] M[y, x], i.e. the plain dot of rho.T with M
+    flattened, no conjugation.
     """
     rho_t = np.ascontiguousarray(rho.T).ravel()
     m = []
@@ -281,8 +276,8 @@ def moments(sc: QuantumScenario) -> QuantumMoments:
     if sc.is_pure:
         psi = sc.state.reshape(sc.dims)
         psi_c = psi.conj()
-        pa = _pure_party_moments(psi @ psi_c.T, sc.alice_obs)
-        pb = _pure_party_moments(psi.T @ psi_c, sc.bob_obs)
+        pa = _party_moments(psi @ psi_c.T, sc.alice_obs)
+        pb = _party_moments(psi.T @ psi_c, sc.bob_obs)
         cov = np.empty((2, 2))
         for i in range(2):
             ai_psi = sc.alice_obs[i].matrix @ psi
@@ -291,8 +286,8 @@ def moments(sc: QuantumScenario) -> QuantumMoments:
                 cov[i, j] = float(ab.real) - pa["mean"][i] * pb["mean"][j]
     else:
         ex = _Expectations(sc)
-        pa = _party_moments(ex, 0, sc.alice_obs)
-        pb = _party_moments(ex, 1, sc.bob_obs)
+        pa = _party_moments(ex.rho(0), sc.alice_obs)
+        pb = _party_moments(ex.rho(1), sc.bob_obs)
         cov = np.empty((2, 2))
         for i in range(2):
             for j in range(2):
@@ -335,12 +330,8 @@ def tripartite_moments(sc: QuantumScenario) -> TripartiteMoments:
     if sc.n_parties != 3:
         raise MalformedInputError("tripartite_moments expects three parties")
     ex = _Expectations(sc)
-    parts = [
-        _party_moments(ex, 0, sc.alice_obs),
-        _party_moments(ex, 1, sc.bob_obs),
-        _party_moments(ex, 2, sc.charlie_obs),
-    ]
     obs = [sc.alice_obs, sc.bob_obs, sc.charlie_obs]
+    parts = [_party_moments(ex.rho(p), obs[p]) for p in range(3)]
 
     def block(p: int, q: int) -> np.ndarray:
         out = np.empty((2, 2))
@@ -486,7 +477,7 @@ def higher_moment_uncertainty_check(
         raise MalformedInputError("observable index i must be 0 or 1")
     ex = _Expectations(sc)
     obs = sc.alice_obs
-    pa = _party_moments(ex, 0, obs)
+    pa = _party_moments(ex.rho(0), obs)
     d = np.linalg.matrix_power(obs[i].matrix, int(m))
     mean_d = float(ex.value({0: d}).real)
     m2_d = float(ex.value({0: d @ d}).real)

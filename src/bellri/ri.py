@@ -31,7 +31,7 @@ import numpy as np
 from .correlators import CorrelatorTable, TripartiteCorrelatorTable
 from .errors import MalformedInputError, PreconditionError
 from .lhv import is_local
-from .linalg import SymmetricMatrix, is_psd
+from .linalg import is_psd
 
 __all__ = [
     "RInterval",
@@ -44,13 +44,10 @@ __all__ = [
     "ri_feasible_bipartite",
     "tripartite_r_intervals",
     "epsilon_gap",
-    "epsilon_four_signs",
+    "emit_geometry",
     "g_theta",
     "pr_box_demo",
     "classify",
-    "ri_condition_matrix",
-    "tripartite_condition_matrix",
-    "ri_pair_matrix",
 ]
 
 DEFAULT_SLACK = 1e-9
@@ -169,6 +166,26 @@ class Verdict:
         return out
 
 
+def _verdict(
+    ct: CorrelatorTable, tol: float, local: bool | None, no_signaling: dict | None
+) -> Verdict:
+    a_intervals = [r_interval_bipartite(ct, j) for j in (0, 1)]
+    b_intervals = [r_interval_swapped(ct, i) for i in (0, 1)]
+    a_meet = _intersect(a_intervals, tol)
+    b_meet = _intersect(b_intervals, tol)
+    return Verdict(
+        local=local,
+        quantum_compatible=tlm_check(ct, tol).passed,
+        ri_feasible=a_meet is not None and b_meet is not None,
+        witness_r=0.5 * (a_meet[0] + a_meet[1]) if a_meet else None,
+        witness_r_bar=0.5 * (b_meet[0] + b_meet[1]) if b_meet else None,
+        epsilon=_gap(a_intervals),
+        intervals=tuple(a_intervals + b_intervals),
+        signaling_in_variance=ct.signaling_in_variance,
+        no_signaling=no_signaling,
+    )
+
+
 def ri_feasible_bipartite(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> Verdict:
     """Existence of setting-independent uncertainty parameters for both parties.
 
@@ -177,43 +194,21 @@ def ri_feasible_bipartite(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> Ve
     Witnesses are interval-intersection midpoints, a convention; any point of
     the intersection is admissible.
     """
-    a_intervals = [r_interval_bipartite(ct, j) for j in (0, 1)]
-    b_intervals = [r_interval_swapped(ct, i) for i in (0, 1)]
-    a_meet = _intersect(a_intervals, tol)
-    b_meet = _intersect(b_intervals, tol)
-    feasible = a_meet is not None and b_meet is not None
-    eps = epsilon_gap(ct)
-    return Verdict(
-        local=None,
-        quantum_compatible=tlm_check(ct, tol).passed,
-        ri_feasible=feasible,
-        witness_r=0.5 * (a_meet[0] + a_meet[1]) if a_meet else None,
-        witness_r_bar=0.5 * (b_meet[0] + b_meet[1]) if b_meet else None,
-        epsilon=eps,
-        intervals=tuple(a_intervals + b_intervals),
-        signaling_in_variance=ct.signaling_in_variance,
-    )
+    return _verdict(ct, tol, local=None, no_signaling=None)
 
 
 def classify(ct: CorrelatorTable, *, tol: float = DEFAULT_SLACK, no_signaling: dict | None = None) -> Verdict:
     """Full verdict: locality, correlator bound, feasibility of a common r'."""
-    base = ri_feasible_bipartite(ct, tol)
     raw_e = ct.cov + np.outer(ct.means_a, ct.means_b)
     try:
         local = is_local(raw_e, tol=max(tol, 1e-9))
     except MalformedInputError:
         local = None
-    return Verdict(
-        local=local,
-        quantum_compatible=base.quantum_compatible,
-        ri_feasible=base.ri_feasible,
-        witness_r=base.witness_r,
-        witness_r_bar=base.witness_r_bar,
-        epsilon=base.epsilon,
-        intervals=base.intervals,
-        signaling_in_variance=ct.signaling_in_variance,
-        no_signaling=no_signaling,
-    )
+    return _verdict(ct, tol, local=local, no_signaling=no_signaling)
+
+
+def _gap(intervals: list[RInterval]) -> float:
+    return max(0.0, float(max(iv.lo for iv in intervals) - min(iv.hi for iv in intervals)))
 
 
 def epsilon_gap(ct: CorrelatorTable) -> float:
@@ -223,19 +218,43 @@ def epsilon_gap(ct: CorrelatorTable) -> float:
     |rho00 rho10 - rho01 rho11 +- h_0 +- h_1|, and the least detectable
     signaling magnitude in the in-principle estimation protocol.
     """
-    d0 = r_interval_bipartite(ct, 0)
-    d1 = r_interval_bipartite(ct, 1)
-    gap = max(d0.lo, d1.lo) - min(d0.hi, d1.hi)
-    return max(0.0, float(gap))
+    return _gap([r_interval_bipartite(ct, j) for j in (0, 1)])
 
 
-def epsilon_four_signs(ct: CorrelatorTable) -> float:
-    """The explicit four-sign form of ``epsilon_gap`` for disjoint intervals."""
-    pe = ct.require_defined()
-    center_diff = float(pe[0, 0] * pe[1, 0] - pe[0, 1] * pe[1, 1])
-    h0 = _halfwidth(pe[0, 0], pe[1, 0])
-    h1 = _halfwidth(pe[0, 1], pe[1, 1])
-    return min(abs(center_diff + s0 * h0 + s1 * h1) for s0 in (1, -1) for s1 in (1, -1))
+def emit_geometry(ct: CorrelatorTable, tol: float = 1e-9) -> dict:
+    """Disk geometry of the two admissible regions in the r' plane.
+
+    Each remote setting confines the normalized uncertainty parameter to a
+    disk centered on the real axis; the real-axis restriction is the pair of
+    feasibility intervals, classified as disjoint, tangent, or overlapping.
+    """
+    circles = []
+    intervals = []
+    for j in (0, 1):
+        iv = r_interval_bipartite(ct, j)
+        center = 0.5 * (iv.lo + iv.hi)
+        radius = 0.5 * (iv.hi - iv.lo)
+        circles.append({"context": iv.context, "center": center, "radius": radius})
+        intervals.append(iv)
+    gap = max(iv.lo for iv in intervals) - min(iv.hi for iv in intervals)
+    if gap > tol:
+        relation = "disjoint"
+        touch = None
+    elif gap >= -tol:
+        relation = "tangent"
+        touch = [0.5 * (max(iv.lo for iv in intervals) + min(iv.hi for iv in intervals)), 0.0]
+    else:
+        relation = "overlapping"
+        touch = None
+    out = {
+        "circles": circles,
+        "relation": relation,
+        "gap": max(0.0, gap),
+        "intervals": [iv.to_json_dict() for iv in intervals],
+    }
+    if touch is not None:
+        out["intersection_point"] = touch
+    return out
 
 
 def g_theta(theta: float, sigma0: float, sigma1: float) -> float:
@@ -248,55 +267,6 @@ def g_theta(theta: float, sigma0: float, sigma1: float) -> float:
         raise MalformedInputError("standard deviations must be positive")
     c, s = math.cos(theta), math.sin(theta)
     return c * c * sigma0 / sigma1 + s * s * sigma1 / sigma0
-
-
-# ---------------------------------------------------------------------------
-# Condition matrices (normalized forms used for PSD cross-checks)
-# ---------------------------------------------------------------------------
-
-
-def ri_condition_matrix(ct: CorrelatorTable, j: int, r_prime: float) -> SymmetricMatrix:
-    """Normalized 3x3 matrix whose PSD is equivalent to r' in D_j."""
-    pe = ct.require_defined()
-    r0, r1 = float(pe[0, j]), float(pe[1, j])
-    m = np.array([[1.0, r1, r0], [r1, 1.0, r_prime], [r0, r_prime, 1.0]])
-    return SymmetricMatrix(m)
-
-
-def ri_pair_matrix(ct: CorrelatorTable, r_prime: float) -> SymmetricMatrix:
-    """Block-diagonal 4x4 pairing both contexts at one shared r'.
-
-    PSD iff r' is admissible for both remote settings simultaneously, the
-    block form of the feasibility condition.
-    """
-    pe = ct.require_defined()
-    p = np.array([[1.0, r_prime], [r_prime, 1.0]])
-    blocks = []
-    for j in (0, 1):
-        rj = np.array([pe[0, j], pe[1, j]])
-        blocks.append(p - np.outer(rj, rj))
-    m = np.zeros((4, 4))
-    m[:2, :2] = blocks[0]
-    m[2:, 2:] = blocks[1]
-    return SymmetricMatrix.from_array(m, symmetrize=True)
-
-
-def tripartite_condition_matrix(
-    tct: TripartiteCorrelatorTable, j: int, k: int, r_prime: float
-) -> SymmetricMatrix:
-    """Normalized 4x4 matrix (C_k, B_j, A_1, A_0) for one remote context."""
-    ab = tct.pearson_ab
-    ac = tct.pearson_ac
-    bc = tct.pearson_bc
-    m = np.array(
-        [
-            [1.0, bc[j, k], ac[1, k], ac[0, k]],
-            [bc[j, k], 1.0, ab[1, j], ab[0, j]],
-            [ac[1, k], ab[1, j], 1.0, r_prime],
-            [ac[0, k], ab[0, j], r_prime, 1.0],
-        ]
-    )
-    return SymmetricMatrix(m)
 
 
 # ---------------------------------------------------------------------------

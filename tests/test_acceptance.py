@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 from conftest import optimal_ab_with_idle_charlie, uncorrelated_bc_scenario
+from oracles import tripartite_condition_matrix
 
 from bellri.cli import main as cli_main
 from bellri.correlators import TripartiteCorrelatorTable, from_probability_table, pr_box_table
@@ -35,7 +36,6 @@ from bellri.ri import (
     r_interval_bipartite,
     r_interval_swapped,
     tlm_check,
-    tripartite_condition_matrix,
     tripartite_r_intervals,
 )
 

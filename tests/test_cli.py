@@ -97,6 +97,16 @@ class TestClassify:
         assert out is None and err
 
 
+class TestTol:
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf", "-inf"])
+    def test_bad_tol_exit_two(self, tmp_path, capsys, tol):
+        path = write_json(tmp_path, "t.json", tsirelson_payload())
+        code, out, err = run_cli(capsys, "classify", "--input", path, f"--tol={tol}")
+        assert code == 2
+        assert out is None
+        assert "tol" in json.loads(err)["error"]
+
+
 class TestSimpleVerbs:
     def test_tlm_zero_table_passes(self, tmp_path, capsys):
         path = write_json(tmp_path, "z.json", {"pearson": [[0.0, 0.0], [0.0, 0.0]]})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import product_cov_oracle
 
 from bellri.correlators import chsh_max, chsh_raw
 from bellri.errors import MalformedInputError
@@ -12,7 +13,6 @@ from bellri.lhv import (
     enumerate_vertices,
     is_local,
     product_cov_matrix,
-    product_cov_oracle,
     statistics_of,
 )
 from bellri.linalg import is_psd

@@ -1,4 +1,8 @@
-"""Kernel tests: PSD decisions, Jacobi eigenvalues, Schur complements."""
+"""Kernel tests: PSD decisions, eigenvalues, Schur complements and their pivot rule.
+
+Eigenvalues come from LAPACK through NumPy; the Faddeev-LeVerrier oracle
+below is the independent route they are checked against.
+"""
 
 import numpy as np
 import pytest
@@ -84,10 +88,19 @@ class TestEigenvalues:
         w = eigenvalues_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
-    def test_random_4x4_against_charpoly_oracle(self):
-        rng = np.random.default_rng(7)
+    # 4x4 real is the tripartite context matrix, 3x3 Hermitian the quantum
+    # Gram block (quantum_cov_matrix); 6 and 10 are the bordered n-party
+    # matrix at four and eight experimenters
+    @pytest.mark.parametrize(
+        "n, kind",
+        [(4, "real"), (3, "hermitian"), (6, "real"), (6, "hermitian"),
+         (10, "real"), (10, "hermitian")],
+    )
+    def test_against_charpoly_oracle(self, n, kind):
+        rng = np.random.default_rng(7 + n)
+        sample = random_symmetric if kind == "real" else random_hermitian
         for _ in range(50):
-            m = random_symmetric(rng, 4)
+            m = sample(rng, n)
             np.testing.assert_allclose(eigenvalues_sym(m), charpoly_roots(m), atol=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
@@ -107,7 +120,7 @@ class TestEigenvalues:
             w, v = eigh_sym(m)
             resid = np.abs(m - v @ np.diag(w) @ v.conj().T).max()
             assert resid <= 1e-10 * max(1e-30, np.abs(m).max())
-            np.testing.assert_allclose(w, np.linalg.eigvalsh(m), atol=1e-10)
+            np.testing.assert_allclose(w, charpoly_roots(m), atol=1e-10)
 
     def test_permutation_similarity(self):
         rng = np.random.default_rng(11)
@@ -197,6 +210,14 @@ class TestSchurComplement:
         )
         with pytest.raises(DegeneratePivotError):
             schur_complement(indefinite_lead, 2)
+        # Cholesky succeeds on this leading block (second pivot^2 ~ 1e-15),
+        # but the pivot is below the 1e-13 relative floor
+        near_singular_lead = np.array(
+            [[1.0, 1.0, 0.3], [1.0, 1.0 + 1e-15, 0.1], [0.3, 0.1, 2.0]]
+        )
+        np.linalg.cholesky(near_singular_lead[:2, :2])
+        with pytest.raises(DegeneratePivotError):
+            schur_complement(near_singular_lead, 2)
 
     def test_hermitian_complement(self):
         rng = np.random.default_rng(23)

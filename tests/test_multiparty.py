@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import optimal_ab_with_idle_charlie, uncorrelated_bc_scenario
+from oracles import tripartite_condition_matrix
 
 from bellri.correlators import TripartiteCorrelatorTable
 from bellri.errors import MalformedInputError, PreconditionError
@@ -21,7 +22,7 @@ from bellri.multiparty import (
     zeta_from_table,
 )
 from bellri.qmodel import moments, random_scenario, tripartite_moments, tsirelson_scenario
-from bellri.ri import tlm_check, tripartite_condition_matrix
+from bellri.ri import tlm_check
 
 SQRT2 = math.sqrt(2.0)
 

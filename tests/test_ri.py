@@ -4,6 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import (
+    epsilon_four_signs,
+    ri_condition_matrix,
+    ri_pair_matrix,
+    tripartite_condition_matrix,
+)
 
 from bellri.correlators import CorrelatorTable, TripartiteCorrelatorTable, from_probability_table, pr_box_table
 from bellri.errors import DegenerateDataError, MalformedInputError, PreconditionError
@@ -11,17 +17,13 @@ from bellri.lhv import LhvEnsemble, statistics_of
 from bellri.linalg import is_psd
 from bellri.ri import (
     classify,
-    epsilon_four_signs,
     epsilon_gap,
     g_theta,
     pr_box_demo,
     r_interval_bipartite,
     r_interval_swapped,
-    ri_condition_matrix,
     ri_feasible_bipartite,
-    ri_pair_matrix,
     tlm_check,
-    tripartite_condition_matrix,
     tripartite_r_intervals,
 )
 
