@@ -61,6 +61,14 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _float_array(obj) -> np.ndarray:
+    """A JSON number or rectangular nested list as a float array."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(str(exc)) from exc
+
+
 def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityTable | None]:
     if payload.get("name") == "pr-box":
         pt = pr_box_table()
@@ -68,18 +76,18 @@ def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityT
     if "probabilities" in payload:
         prob = payload["probabilities"]
         pt = ProbabilityTable(
-            outcomes_a=np.asarray(_require(prob, "outcomes_a"), dtype=float),
-            outcomes_b=np.asarray(_require(prob, "outcomes_b"), dtype=float),
-            p=np.asarray(_require(prob, "p"), dtype=float),
+            outcomes_a=_float_array(_require(prob, "outcomes_a")),
+            outcomes_b=_float_array(_require(prob, "outcomes_b")),
+            p=_float_array(_require(prob, "p")),
         )
         return from_probability_table(pt), pt
     if "ensemble" in payload:
         from .lhv import LhvEnsemble, correlators_of
 
-        weights = np.asarray(_require(payload["ensemble"], "weights"), dtype=float)
+        weights = _float_array(_require(payload["ensemble"], "weights"))
         return correlators_of(LhvEnsemble(weights)), None
     if "pearson" in payload:
-        pe = np.asarray(payload["pearson"], dtype=float)
+        pe = _float_array(payload["pearson"])
         ct = CorrelatorTable.from_pearson(
             pe, variances=payload.get("variances"), means=payload.get("means")
         )
@@ -91,24 +99,27 @@ def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityT
 
 def decode_tripartite_table(payload: dict) -> TripartiteCorrelatorTable:
     return TripartiteCorrelatorTable(
-        pearson_ab=np.asarray(_require(payload, "pearson_ab"), dtype=float),
-        pearson_ac=np.asarray(_require(payload, "pearson_ac"), dtype=float),
-        pearson_bc=np.asarray(_require(payload, "pearson_bc"), dtype=float),
+        pearson_ab=_float_array(_require(payload, "pearson_ab")),
+        pearson_ac=_float_array(_require(payload, "pearson_ac")),
+        pearson_bc=_float_array(_require(payload, "pearson_bc")),
     )
 
 
 def _complex_array(obj, what: str) -> np.ndarray:
     if isinstance(obj, dict):
-        re = np.asarray(_require(obj, "re"), dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+        re = _float_array(_require(obj, "re"))
+        im = _float_array(obj.get("im", np.zeros_like(re)))
         if re.shape != im.shape:
             raise MalformedInputError(f"{what}: 're' and 'im' shapes differ")
         return re + 1j * im
-    return np.asarray(obj, dtype=float).astype(complex)
+    return _float_array(obj).astype(complex)
 
 
 def decode_scenario(payload: dict) -> qmodel.QuantumScenario:
-    dims = tuple(int(d) for d in _require(payload, "dims"))
+    dims = _float_array(_require(payload, "dims"))
+    if dims.ndim != 1 or not np.all(np.isfinite(dims)) or np.any(dims != np.round(dims)):
+        raise MalformedInputError("dims must list whole-number party dimensions")
+    dims = tuple(int(d) for d in dims)
     state = _complex_array(_require(payload, "state"), "state")
     def obs_list(key):
         if key not in payload:
@@ -129,11 +140,9 @@ def decode_scenario(payload: dict) -> qmodel.QuantumScenario:
 def decode_nparty(payload: dict) -> tuple[multiparty.NPartyCorrelators, float]:
     r_prime = float(_require(payload, "r_prime"))
     exps = _require(payload, "experimenters")
-    first = [list(map(float, _require(e, "first"))) for e in exps]
-    second = [list(map(float, _require(e, "second"))) for e in exps]
-    return multiparty.NPartyCorrelators(
-        rho_first=np.asarray(first), rho_second=np.asarray(second)
-    ), r_prime
+    first = _float_array([_require(e, "first") for e in exps])
+    second = _float_array([_require(e, "second") for e in exps])
+    return multiparty.NPartyCorrelators(rho_first=first, rho_second=second), r_prime
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +211,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
             },
         }
         return out, 0
-    mom = qmodel.moments(sc)
+    mom = qmodel._scenario_moments(sc)
     out = {
         "scenario": "bipartite",
         "means": {"a": mom.mean_a.tolist(), "b": mom.mean_b.tolist()},

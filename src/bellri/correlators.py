@@ -144,6 +144,8 @@ class CorrelatorTable:
     def from_pearson(cls, pearson, variances=None, means=None) -> "CorrelatorTable":
         """Build a table from Pearson entries alone (unit variances, zero means)."""
         pe = np.asarray(pearson, dtype=np.float64)
+        if pe.shape != (2, 2):
+            raise MalformedInputError(f"pearson must be 2x2, got shape {pe.shape}")
         var_a = np.ones(2) if variances is None else np.asarray(variances.get("a", [1, 1]), float)
         var_b = np.ones(2) if variances is None else np.asarray(variances.get("b", [1, 1]), float)
         mean_a = np.zeros(2) if means is None else np.asarray(means.get("a", [0, 0]), float)

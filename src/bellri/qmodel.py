@@ -13,6 +13,10 @@ with nu^2 + eta^2 <= 1 (the standard uncertainty relation in normalized
 form). Tensor index order is Alice first, then Bob, then Charlie; fixed so
 golden fixtures are bit-stable.
 
+A bipartite scenario's moments are computed once, on the first request, and
+kept on the scenario: ``moments`` and every check that takes the scenario
+share that one record, whose arrays are read-only.
+
 Internally hbar = 1; the position-momentum demonstration computes its
 commutator term from the realized expectation value rather than assuming it,
 since an exact canonical pair does not exist in finite dimension.
@@ -269,7 +273,7 @@ def _party_moments(rho: np.ndarray, obs) -> dict:
     return {"mean": np.array(m), "var": np.array(var), "r_q": x1x0 - m[1] * m[0]}
 
 
-def moments(sc: QuantumScenario) -> QuantumMoments:
+def _compute_moments(sc: QuantumScenario) -> QuantumMoments:
     """All bipartite moment data; raises when a needed variance vanishes."""
     if sc.n_parties != 2:
         raise MalformedInputError("moments expects a bipartite scenario")
@@ -297,12 +301,38 @@ def moments(sc: QuantumScenario) -> QuantumMoments:
     nu_b, eta_b = _normalized_pair(pb["var"], pb["r_q"], "B")
     sig = np.sqrt(np.outer(pa["var"], pb["var"]))
     pearson = cov / sig
+    for a in (pa["mean"], pb["mean"], pa["var"], pb["var"], cov, pearson):
+        a.setflags(write=False)
     return QuantumMoments(
         mean_a=pa["mean"], mean_b=pb["mean"], var_a=pa["var"], var_b=pb["var"],
         cov=cov, pearson=pearson,
         eta_a=eta_a, eta_b=eta_b, nu_a=nu_a, nu_b=nu_b,
         r_q_a=pa["r_q"], r_q_b=pb["r_q"],
     )
+
+
+def _scenario_moments(sc: QuantumScenario) -> QuantumMoments:
+    """The scenario's one moments record, computed on the first request.
+
+    The record is kept on the scenario outside its dataclass fields, so
+    equality, repr and hashing are unchanged; a scenario cannot change after
+    construction, so the record never goes stale. A degenerate or
+    non-bipartite scenario stores nothing and raises on every request.
+    """
+    mom = sc.__dict__.get("_moments")
+    if mom is None:
+        mom = _compute_moments(sc)
+        object.__setattr__(sc, "_moments", mom)
+    return mom
+
+
+def moments(sc: QuantumScenario) -> QuantumMoments:
+    """All bipartite moment data; raises when a needed variance vanishes.
+
+    Computed once per scenario and shared with every check that takes the
+    scenario; the record's arrays are read-only.
+    """
+    return _scenario_moments(sc)
 
 
 @dataclass(frozen=True)
@@ -364,7 +394,7 @@ def to_correlator_table(mom: QuantumMoments) -> CorrelatorTable:
 
 def schrodinger_robertson_check(sc: QuantumScenario, party: str = "a", tol: float = 1e-9) -> dict:
     """Variance product against the squared pair moment for one party."""
-    mom = moments(sc)
+    mom = _scenario_moments(sc)
     if party == "a":
         var, r_q = mom.var_a, mom.r_q_a
     elif party == "b":
@@ -382,7 +412,7 @@ def quantum_cov_matrix(sc: QuantumScenario, j: int) -> HermitianMatrix:
     PSD for every scenario: it is the Gram matrix of the centered operators
     applied to the state.
     """
-    mom = moments(sc)
+    mom = _scenario_moments(sc)
     m = np.array(
         [
             [mom.var_b[j], mom.cov[1, j], mom.cov[0, j]],
@@ -402,7 +432,7 @@ def quantum_tlm_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     negatives; the per-context inequality guarantees they are nonnegative up
     to rounding.
     """
-    mom = moments(sc)
+    mom = _scenario_moments(sc)
     pe = mom.pearson
     per_context = []
     for j in range(2):
@@ -429,7 +459,7 @@ def quantum_tlm_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
 
 def tsirelson_eta_bound(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     """CHSH magnitude against 2 sqrt(2) sqrt(1 - max(eta_A^2, eta_B^2))."""
-    mom = moments(sc)
+    mom = _scenario_moments(sc)
     chsh = chsh_combination(mom.pearson)
     eta2 = max(mom.eta_a**2, mom.eta_b**2)
     bound = SQRT8 * math.sqrt(max(0.0, 1.0 - eta2))
@@ -443,7 +473,7 @@ def chsh_r_tradeoff_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     (the regime where the relation is derived); it is reported, not assumed,
     for anything else.
     """
-    mom = moments(sc)
+    mom = _scenario_moments(sc)
     chsh = chsh_combination(mom.pearson)
     r_term = float(abs(mom.r_q_a) ** 2 / (mom.var_a[0] * mom.var_a[1]))
     chsh_term = (chsh / SQRT8) ** 2
@@ -682,7 +712,7 @@ def random_scenario(
         sc = QuantumScenario(dims=dims, state=state, alice_obs=alice, bob_obs=bob)
         mom_ok = True
         try:
-            mm = moments(sc)
+            mm = _scenario_moments(sc)
             if min(mm.var_a.min(), mm.var_b.min()) < min_variance:
                 mom_ok = False
         except DegenerateScenarioError:

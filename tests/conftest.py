@@ -1,10 +1,21 @@
 """Shared sampling helpers for the test suite."""
 
+import json
 import math
 
 import numpy as np
 
-from bellri.qmodel import QuantumScenario, bloch_observable
+from bellri.qmodel import (
+    QuantumScenario,
+    bloch_observable,
+    chsh_r_tradeoff_check,
+    moments,
+    quantum_cov_matrix,
+    quantum_tlm_check,
+    random_scenario,
+    schrodinger_robertson_check,
+    tsirelson_eta_bound,
+)
 
 
 def random_unitary(rng, d):
@@ -72,3 +83,39 @@ def optimal_ab_with_idle_charlie(rng) -> QuantumScenario:
         bob_obs=base.bob_obs,
         charlie_obs=(random_bloch(rng), random_bloch(rng)),
     )
+
+
+def random_mixed_scenario(rng, dims=(2, 3), rank: int = 3) -> QuantumScenario:
+    """Random rank-``rank`` density matrix with random_scenario's observables."""
+    sc = random_scenario(rng, dims=dims)
+    n = sc.state.size
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return QuantumScenario(
+        dims=dims, state=rho / np.trace(rho).real, alice_obs=sc.alice_obs, bob_obs=sc.bob_obs
+    )
+
+
+def fresh_copy(sc: QuantumScenario) -> QuantumScenario:
+    """An equal bipartite scenario built anew, so it shares no computed moments."""
+    return QuantumScenario(
+        dims=sc.dims, state=np.array(sc.state), alice_obs=sc.alice_obs, bob_obs=sc.bob_obs
+    )
+
+
+def check_report(sc: QuantumScenario) -> str:
+    """Moments and every bipartite check of ``sc`` as JSON; floats print exactly."""
+    mom = moments(sc)
+    arrays = (mom.mean_a, mom.mean_b, mom.var_a, mom.var_b, mom.cov, mom.pearson)
+    gram = [quantum_cov_matrix(sc, j).data for j in (0, 1)]
+    return json.dumps({
+        "moments": [a.tolist() for a in arrays],
+        "pairs": [mom.eta_a, mom.eta_b, mom.nu_a, mom.nu_b,
+                  [mom.r_q_a.real, mom.r_q_a.imag, mom.r_q_b.real, mom.r_q_b.imag]],
+        "quantum_tlm": quantum_tlm_check(sc),
+        "eta_bound": tsirelson_eta_bound(sc),
+        "uncertainty": [schrodinger_robertson_check(sc, p) for p in "ab"],
+        "tradeoff": chsh_r_tradeoff_check(sc),
+        "gram": [[g.real.tolist(), g.imag.tolist()] for g in gram],
+    })

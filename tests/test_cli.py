@@ -2,14 +2,17 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellri.cli import main
+from bellri.cli import decode_bipartite_table, decode_scenario, decode_tripartite_table, main
+from bellri.errors import MalformedInputError
 from bellri.qmodel import tsirelson_scenario
 
 SQRT2 = math.sqrt(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +160,70 @@ class TestSimpleVerbs:
         code, out, _ = run_cli(capsys, "geometry", "--input", path)
         assert out["relation"] == "disjoint"
         assert out["gap"] == pytest.approx(2.0, abs=1e-12)
+
+
+class TestGolden:
+    """Default stdout pinned byte for byte on committed payloads.
+
+    Each ``<case>.stdout`` holds what the verb printed on ``<case>.json``
+    when the case was added; regenerate it only for an intended output change.
+    """
+
+    @pytest.mark.parametrize(
+        "verb, case, exit_code",
+        [
+            ("simulate", "simulate_pure", 0),
+            ("simulate", "simulate_mixed", 0),
+            ("quantum-bound", "quantum_bound_mixed", 0),
+        ],
+    )
+    def test_stdout_byte_identical(self, capsys, verb, case, exit_code):
+        code = main([verb, "--input", str(GOLDEN / f"{case}.json")])
+        captured = capsys.readouterr()
+        assert code == exit_code
+        assert captured.err == ""
+        assert captured.out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8")
+
+
+class TestMalformedTables:
+    """Decoders reject bad tables with MalformedInputError, and the CLI exits 2."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"pearson": [[0.5, 0.1], [0.2, 0.3], [0.0, 0.0]]},
+            {"pearson": [[0.5, 0.1], [0.2]]},
+            {"pearson": [[0.5, "x"], [0.2, 0.3]]},
+            {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, [1]], "p": []}},
+            {"ensemble": {"weights": [0.5, {"w": 1}]}},
+        ],
+    )
+    def test_bipartite_decoder(self, tmp_path, capsys, payload):
+        with pytest.raises(MalformedInputError):
+            decode_bipartite_table(payload)
+        path = write_json(tmp_path, "b.json", payload)
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 2
+        assert out is None and "error" in json.loads(err)
+
+    @pytest.mark.parametrize("dims", [["two", 2], [2.5, 2], 2, [[2, 2]], [None, 2]])
+    def test_scenario_dims(self, tmp_path, capsys, dims):
+        payload = dict(scenario_payload(), dims=dims)
+        with pytest.raises(MalformedInputError):
+            decode_scenario(payload)
+        path = write_json(tmp_path, "s.json", payload)
+        code, out, err = run_cli(capsys, "simulate", "--input", path)
+        assert code == 2
+        assert out is None and "error" in json.loads(err)
+
+    def test_scenario_whole_float_dims_accepted(self):
+        assert decode_scenario(dict(scenario_payload(), dims=[2.0, 2])).dims == (2, 2)
+
+    def test_ragged_tripartite_block(self):
+        payload = {"pearson_ab": [[0.1], [0.2, 0.3]], "pearson_ac": [[0, 0], [0, 0]],
+                   "pearson_bc": [[0, 0], [0, 0]]}
+        with pytest.raises(MalformedInputError):
+            decode_tripartite_table(payload)
 
 
 class TestQuantumVerbs:

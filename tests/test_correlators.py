@@ -39,6 +39,13 @@ class TestProbabilityTable:
             ProbabilityTable(outcomes_a=[-1, 1], outcomes_b=[-1, 1], p=p)
 
 
+class TestFromPearson:
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,), (2, 2, 1), ()])
+    def test_non_2x2_block_rejected(self, shape):
+        with pytest.raises(MalformedInputError, match="2x2"):
+            CorrelatorTable.from_pearson(np.zeros(shape))
+
+
 class TestFromProbabilityTable:
     def test_pr_box_moments(self):
         ct = from_probability_table(pr_box_table())

@@ -1,10 +1,13 @@
 """Quantum simulator tests: moments, uncertainty checks, bounds, constructions."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import check_report, fresh_copy, random_mixed_scenario
 
+from bellri import qmodel
 from bellri.correlators import chsh_max, from_probability_table
 from bellri.errors import DegenerateScenarioError, MalformedInputError
 from bellri.linalg import eigenvalues_sym, is_psd
@@ -141,6 +144,93 @@ class TestMoments:
         )
         with pytest.raises(DegenerateScenarioError, match="A0"):
             moments(sc)
+
+
+class TestSharedMoments:
+    """A scenario's moments are computed once and shared by every check."""
+
+    @staticmethod
+    def _count_computes(monkeypatch) -> list:
+        calls = []
+        compute = qmodel._compute_moments
+
+        def counting(sc):
+            calls.append(sc)
+            return compute(sc)
+
+        monkeypatch.setattr(qmodel, "_compute_moments", counting)
+        return calls
+
+    def test_every_check_shares_one_compute(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        # random_scenario already holds its record; an equal fresh copy does not
+        scenarios = [fresh_copy(random_scenario(rng, dims=(2, 3))), random_mixed_scenario(rng)]
+        calls = self._count_computes(monkeypatch)
+        for sc in scenarios:
+            before = len(calls)
+            mom = moments(sc)
+            quantum_tlm_check(sc)
+            tsirelson_eta_bound(sc)
+            quantum_cov_matrix(sc, 0)
+            quantum_cov_matrix(sc, 1)
+            schrodinger_robertson_check(sc, "a")
+            schrodinger_robertson_check(sc, "b")
+            chsh_r_tradeoff_check(sc)
+            assert moments(sc) is mom
+            assert len(calls) - before == 1
+
+    def test_checks_alone_compute_once(self, monkeypatch):
+        sc = eta_saturating_scenario(0.3)
+        calls = self._count_computes(monkeypatch)
+        quantum_tlm_check(sc)
+        tsirelson_eta_bound(sc)
+        assert len(calls) == 1
+
+    def test_record_arrays_read_only(self):
+        rng = np.random.default_rng(42)
+        for sc in (random_scenario(rng, dims=(3, 2)), random_mixed_scenario(rng)):
+            mom = moments(sc)
+            for arr in (mom.mean_a, mom.mean_b, mom.var_a, mom.var_b, mom.cov, mom.pearson):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_record_is_not_a_field(self):
+        sc = tsirelson_scenario()
+        text = repr(sc)
+        moments(sc)
+        assert repr(sc) == text
+        assert "_moments" not in {f.name for f in fields(sc)}
+
+    def test_degenerate_scenario_raises_every_call(self, monkeypatch):
+        sc = QuantumScenario(
+            dims=(2, 2),
+            state=np.kron(ket(1, 0), ket(1, 1)),
+            alice_obs=(Observable(pauli["z"]), Observable(pauli["x"])),
+            bob_obs=(Observable(pauli["z"]), Observable(pauli["x"])),
+        )
+        calls = self._count_computes(monkeypatch)
+        checks = (moments, quantum_tlm_check, tsirelson_eta_bound, chsh_r_tradeoff_check)
+        for _ in range(2):
+            for check in checks:
+                with pytest.raises(DegenerateScenarioError, match="A0"):
+                    check(sc)
+        assert len(calls) == 2 * len(checks)
+
+    def test_non_bipartite_raises_every_call(self):
+        sc = QuantumScenario(dims=(2,), state=ket(1, 1), alice_obs=(pauli["x"], pauli["z"]))
+        for _ in range(2):
+            with pytest.raises(MalformedInputError):
+                moments(sc)
+
+    def test_checks_match_fresh_scenario_bitwise(self):
+        rng = np.random.default_rng(43)
+        scenarios = [eta_saturating_scenario(0.6), singlet_scenario((0.0, 1.1), (0.4, -0.7))]
+        scenarios += [random_scenario(rng, dims=d) for d in ((2, 2), (3, 4), (4, 2))]
+        scenarios += [random_mixed_scenario(rng, d) for d in ((2, 2), (3, 2), (2, 4))]
+        for sc in scenarios:
+            first = check_report(sc)
+            assert check_report(sc) == first
+            assert check_report(fresh_copy(sc)) == first
 
 
 class TestUncertaintyChecks:
