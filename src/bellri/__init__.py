@@ -20,7 +20,6 @@ from .correlators import (
 from .errors import (
     BellRIError,
     DegenerateDataError,
-    DegeneratePivotError,
     DegenerateScenarioError,
     MalformedInputError,
     PreconditionError,
@@ -34,18 +33,10 @@ from .lhv import (
     product_cov_matrix,
     statistics_of,
 )
-from .linalg import (
-    HermitianMatrix,
-    SymmetricMatrix,
-    eigenvalues_sym,
-    is_psd,
-    schur_complement,
-    spectral_norm,
-)
+from .linalg import eigenvalues_sym, is_psd
 from .multiparty import (
     NPartyCorrelators,
     ZetaArgs,
-    build_multiparty_matrix,
     monogamy_check,
     nparty_bound_check,
     nparty_from_pairs,

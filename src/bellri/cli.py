@@ -61,6 +61,15 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _float(payload: dict, key: str) -> float:
+    """A required JSON number field as a float."""
+    value = _require(payload, key)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"{key} must be a number, got {value!r}") from exc
+
+
 def _float_array(obj) -> np.ndarray:
     """A JSON number or rectangular nested list as a float array."""
     try:
@@ -138,8 +147,10 @@ def decode_scenario(payload: dict) -> qmodel.QuantumScenario:
 
 
 def decode_nparty(payload: dict) -> tuple[multiparty.NPartyCorrelators, float]:
-    r_prime = float(_require(payload, "r_prime"))
+    r_prime = _float(payload, "r_prime")
     exps = _require(payload, "experimenters")
+    if not isinstance(exps, list) or not all(isinstance(e, dict) for e in exps):
+        raise MalformedInputError("experimenters must be a list of objects")
     first = _float_array([_require(e, "first") for e in exps])
     second = _float_array([_require(e, "second") for e in exps])
     return multiparty.NPartyCorrelators(rho_first=first, rho_second=second), r_prime
@@ -248,8 +259,8 @@ def _cmd_chsh_r_tradeoff(args) -> tuple[dict, int]:
 def _cmd_monogamy(args) -> tuple[dict, int]:
     payload = _read_payload(args.input)
     if "chsh_ab" in payload:
-        b_ab = float(_require(payload, "chsh_ab"))
-        b_ac = float(_require(payload, "chsh_ac"))
+        b_ab = _float(payload, "chsh_ab")
+        b_ac = _float(payload, "chsh_ac")
     else:
         tct = decode_tripartite_table(payload)
         b_ab = chsh_combination(tct.pearson_ab)

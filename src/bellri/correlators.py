@@ -57,6 +57,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _per_party(obj, what: str, default: float) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's vectors from an optional {"a": [..], "b": [..]} object."""
+    if obj is None:
+        return np.full(2, default), np.full(2, default)
+    if not isinstance(obj, dict):
+        raise MalformedInputError(f"{what} must be an object with keys 'a' and 'b'")
+    try:
+        return tuple(np.asarray(obj.get(p, [default, default]), float) for p in "ab")
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"{what}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Joint outcome distributions p[i][j] over a shared outcome alphabet per party."""
@@ -146,10 +158,8 @@ class CorrelatorTable:
         pe = np.asarray(pearson, dtype=np.float64)
         if pe.shape != (2, 2):
             raise MalformedInputError(f"pearson must be 2x2, got shape {pe.shape}")
-        var_a = np.ones(2) if variances is None else np.asarray(variances.get("a", [1, 1]), float)
-        var_b = np.ones(2) if variances is None else np.asarray(variances.get("b", [1, 1]), float)
-        mean_a = np.zeros(2) if means is None else np.asarray(means.get("a", [0, 0]), float)
-        mean_b = np.zeros(2) if means is None else np.asarray(means.get("b", [0, 0]), float)
+        var_a, var_b = _per_party(variances, "variances", 1.0)
+        mean_a, mean_b = _per_party(means, "means", 0.0)
         sig = np.sqrt(np.outer(var_a, var_b))
         return cls(
             means_a=mean_a,

@@ -9,14 +9,6 @@ class MalformedInputError(BellRIError, ValueError):
     """Input violates a structural contract (non-finite, wrong shape, asymmetric)."""
 
 
-class DegeneratePivotError(BellRIError, ArithmeticError):
-    """Leading block of a Schur partition is singular or indefinite.
-
-    Callers must special-case zero-variance data themselves; the kernel
-    never pseudo-inverts.
-    """
-
-
 class DegenerateDataError(BellRIError):
     """Correlation data has undefined Pearson entries (zero variance somewhere)."""
 

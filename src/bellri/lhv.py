@@ -20,7 +20,6 @@ import numpy as np
 
 from .correlators import _VAR_FLOOR, CorrelatorTable
 from .errors import MalformedInputError
-from .linalg import SymmetricMatrix
 
 __all__ = [
     "DeterministicStrategy",
@@ -179,8 +178,10 @@ def is_local(e, tol: float = 1e-9) -> bool:
     return all(abs(float((s * e).sum())) <= 2.0 + tol for s in CHSH_SIGNS)
 
 
-def product_cov_matrix(ens: LhvEnsemble) -> SymmetricMatrix:
+def product_cov_matrix(ens: LhvEnsemble) -> np.ndarray:
     """Covariance matrix of the four products A_i B_j, order (00), (10), (01), (11).
+
+    Returned read-only; its entries are exactly symmetric by construction.
 
     Assembled from the scalar moments E[i, j], r = <A0 A1>, r_bar = <B0 B1>
     and q = <A0 A1 B0 B1> (raw +-1 outcomes, for which every second moment of
@@ -210,5 +211,6 @@ def product_cov_matrix(ens: LhvEnsemble) -> SymmetricMatrix:
             [cross.T - np.outer(r1, r0), p - np.outer(r1, r1)],
         ]
     )
-    return SymmetricMatrix.from_array(m, symmetrize=True)
+    m.setflags(write=False)
+    return m
 

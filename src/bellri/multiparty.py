@@ -7,9 +7,15 @@ The tripartite bound compares the context quantity
                     / (1 - rho_bc_lk^2)
 
 across two remote contexts; it collapses to the bipartite two-row bound when
-the third party decouples. The n-party machinery assumes mutually
-uncorrelated experimenters, encoded as a bordered-identity block matrix whose
-Schur reduction caps the per-experimenter CHSH values by
+the third party decouples. The n-party bound assumes mutually uncorrelated
+experimenters. Their correlation matrix with Alice's pair is the identity
+bordered by the per-experimenter correlations rho (n x 2); since the leading
+block is the identity, it is PSD exactly when the 2x2 shared-parameter block
+
+    [[1, r'], [r', 1]] - rho^T rho
+
+is (its Schur complement). When that block is PSD for both contexts, the
+per-experimenter CHSH values obey
 
     sum_s |B_s| <= sqrt(2 n) (sqrt(1 + r') + sqrt(1 - r')) <= 2 sqrt(2 n).
 
@@ -26,7 +32,7 @@ import numpy as np
 
 from .correlators import TripartiteCorrelatorTable
 from .errors import MalformedInputError, PreconditionError
-from .linalg import SymmetricMatrix, is_psd, schur_complement
+from .linalg import is_psd
 from .qmodel import QuantumMoments
 
 __all__ = [
@@ -36,12 +42,9 @@ __all__ = [
     "zeta_from_table",
     "zeta_bound_check",
     "monogamy_check",
-    "build_multiparty_matrix",
     "nparty_bound_check",
     "nparty_from_pairs",
 ]
-
-MAX_EXPERIMENTERS = 8
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,9 @@ class NPartyCorrelators:
     """Per-experimenter correlation pairs with Alice, two contexts each.
 
     ``rho_first[s] = (rho^s_{0, i_s}, rho^s_{1, i_s})`` and ``rho_second`` the
-    same for the j_s contexts. Experimenters are assumed mutually
-    uncorrelated; that assumption lives in the identity block of the bordered
-    matrix and is certified by its PSD precondition, not re-derived here.
+    same for the j_s contexts, for any n >= 1 experimenters. They are assumed
+    mutually uncorrelated; ``nparty_bound_check`` certifies that the data is
+    realizable under that assumption, nothing here re-derives it.
     """
 
     rho_first: np.ndarray             # (n, 2)
@@ -144,15 +147,15 @@ class NPartyCorrelators:
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.ndim != 2 or m.shape[1] != 2 or not np.all(np.isfinite(m)):
                 raise MalformedInputError(f"{name} must be a finite (n, 2) array")
-            if np.abs(m).max() > 1.0 + 1e-9:
+            if np.any(np.abs(m) > 1.0 + 1e-9):
                 raise MalformedInputError(f"{name} entries must lie in [-1, 1]")
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, name, m)
         if self.rho_first.shape != self.rho_second.shape:
             raise MalformedInputError("context blocks must have matching shapes")
-        if not (1 <= self.n <= MAX_EXPERIMENTERS):
-            raise MalformedInputError(f"supported experimenter counts: 1..{MAX_EXPERIMENTERS}")
+        if self.n < 1:
+            raise MalformedInputError("at least one experimenter is required")
 
     @property
     def n(self) -> int:
@@ -168,58 +171,25 @@ class NPartyCorrelators:
         )
 
 
-def build_multiparty_matrix(
-    npc: NPartyCorrelators, r_prime: float, context: str = "first"
-) -> SymmetricMatrix:
-    """Bordered-identity block matrix of one context selection.
-
-    Rows 0..n-1 are the experimenters (identity block, mutual uncorrelation),
-    the last two rows Alice's pair with unit diagonal and r' off-diagonal;
-    the border columns hold the per-experimenter correlation pairs.
-    """
-    if context == "first":
-        rho = npc.rho_first
-    elif context == "second":
-        rho = npc.rho_second
-    else:
-        raise MalformedInputError("context must be 'first' or 'second'")
-    n = npc.n
-    m = np.eye(n + 2)
-    m[n, n + 1] = m[n + 1, n] = float(r_prime)
-    m[:n, n] = rho[:, 0]
-    m[:n, n + 1] = rho[:, 1]
-    m[n, :n] = rho[:, 0]
-    m[n + 1, :n] = rho[:, 1]
-    return SymmetricMatrix.from_array(m, symmetrize=True)
-
-
 def nparty_bound_check(npc: NPartyCorrelators, r_prime: float, tol: float = 1e-9) -> dict:
     """Per-experimenter CHSH sum against the shared-parameter cap.
 
-    Precondition (raised on failure): the bordered matrices of both contexts
-    are PSD, i.e. the data is realizable with the common parameter r'. The
-    Schur reductions to [[1, r'], [r', 1]] minus the rank-one border sums are
-    also verified directly. Reported: the refined bound
-    sqrt(2n)(sqrt(1+r') + sqrt(1-r')) and the universal cap 2 sqrt(2n),
-    checked link by link.
+    Precondition (raised on failure): for both contexts the block
+    [[1, r'], [r', 1]] - rho^T rho is PSD, i.e. the data is realizable by
+    mutually uncorrelated experimenters with the common parameter r'.
+    Reported: the refined bound sqrt(2n)(sqrt(1+r') + sqrt(1-r')) and the
+    universal cap 2 sqrt(2n), checked link by link.
     """
     if not -1.0 <= r_prime <= 1.0:
         raise MalformedInputError("r_prime must lie in [-1, 1]")
     n = npc.n
-    for context in ("first", "second"):
-        mat = build_multiparty_matrix(npc, r_prime, context)
-        if not is_psd(mat, tol=max(tol, 1e-9)):
+    shared = np.array([[1.0, r_prime], [r_prime, 1.0]])
+    for context, rho in (("first", npc.rho_first), ("second", npc.rho_second)):
+        if not is_psd(shared - rho.T @ rho, tol=max(tol, 1e-9)):
             raise PreconditionError(
                 f"bordered matrix for context '{context}' is not PSD: "
                 "data not realizable under a common uncertainty parameter"
             )
-        reduced = schur_complement(mat, n).data
-        rho = npc.rho_first if context == "first" else npc.rho_second
-        direct = np.array([[1.0, r_prime], [r_prime, 1.0]]) - rho.T @ rho
-        if np.abs(reduced - direct).max() > 1e-10:
-            raise MalformedInputError("Schur reduction mismatch (internal inconsistency)")
-        if not is_psd(direct, tol=max(tol, 1e-9)):
-            raise PreconditionError(f"reduced block for context '{context}' is not PSD")
     sum_abs_b = float(np.abs(npc.chsh_values()).sum())
     refined = math.sqrt(2.0 * n) * (
         math.sqrt(max(0.0, 1.0 + r_prime)) + math.sqrt(max(0.0, 1.0 - r_prime))
@@ -247,8 +217,8 @@ def nparty_from_pairs(pair_moments: list[QuantumMoments]) -> tuple[NPartyCorrela
         var(A_i)      = mean_s var_s(A_i^(s)),
         r_q           = mean_s r_q^(s),
 
-    so the bordered matrix is the correlation matrix of actual commuting
-    observables and its PSD precondition holds by construction. Returns the
+    so the data is the correlation matrix of actual commuting observables and
+    the precondition of ``nparty_bound_check`` holds by construction. Returns the
     correlator data together with the realized r' = Re(r_q) normalized.
     """
     n = len(pair_moments)

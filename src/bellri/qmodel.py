@@ -37,7 +37,6 @@ from .correlators import (
     chsh_combination,
 )
 from .errors import DegenerateScenarioError, MalformedInputError
-from .linalg import HermitianMatrix
 
 __all__ = [
     "Observable",
@@ -196,16 +195,13 @@ class _Expectations:
         return self._rho[(party,)]
 
     def value(self, ops: dict[int, np.ndarray]) -> complex:
-        """<O_p1 x O_p2 x ...> for operators on distinct parties."""
+        """<O_p> or <O_p x O_q> for operators on one or two distinct parties."""
         keep = tuple(sorted(ops))
         rho = self._rho[keep]
         if len(keep) == 1:
             return complex(np.trace(rho @ ops[keep[0]]))
-        if len(keep) == 2:
-            a, b = ops[keep[0]], ops[keep[1]]
-            return complex(np.einsum("abcd,ca,db->", rho, a, b))
-        a, b, c = (ops[k] for k in keep)
-        return complex(np.einsum("abcdef,da,eb,fc->", rho, a, b, c))
+        a, b = ops[keep[0]], ops[keep[1]]
+        return complex(np.einsum("abcd,ca,db->", rho, a, b))
 
 
 def _subsets(n: int):
@@ -406,8 +402,11 @@ def schrodinger_robertson_check(sc: QuantumScenario, party: str = "a", tol: floa
     return {"lhs": lhs, "rhs": rhs, "pass": lhs >= rhs - tol * max(1.0, lhs)}
 
 
-def quantum_cov_matrix(sc: QuantumScenario, j: int) -> HermitianMatrix:
+def quantum_cov_matrix(sc: QuantumScenario, j: int) -> np.ndarray:
     """3x3 Hermitian block (B_j, A_1, A_0) with the complex pair moment off-diagonal.
+
+    Returned read-only; its entries are exactly conjugate-symmetric by
+    construction.
 
     PSD for every scenario: it is the Gram matrix of the centered operators
     applied to the state.
@@ -421,7 +420,8 @@ def quantum_cov_matrix(sc: QuantumScenario, j: int) -> HermitianMatrix:
         ],
         dtype=np.complex128,
     )
-    return HermitianMatrix.from_array(m, symmetrize=True)
+    m.setflags(write=False)
+    return m
 
 
 def quantum_tlm_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from bellri.errors import PreconditionError
+from bellri.multiparty import NPartyCorrelators, nparty_bound_check
 from bellri.qmodel import (
     QuantumScenario,
     bloch_observable,
@@ -108,7 +110,7 @@ def check_report(sc: QuantumScenario) -> str:
     """Moments and every bipartite check of ``sc`` as JSON; floats print exactly."""
     mom = moments(sc)
     arrays = (mom.mean_a, mom.mean_b, mom.var_a, mom.var_b, mom.cov, mom.pearson)
-    gram = [quantum_cov_matrix(sc, j).data for j in (0, 1)]
+    gram = [quantum_cov_matrix(sc, j) for j in (0, 1)]
     return json.dumps({
         "moments": [a.tolist() for a in arrays],
         "pairs": [mom.eta_a, mom.eta_b, mom.nu_a, mom.nu_b,
@@ -119,3 +121,19 @@ def check_report(sc: QuantumScenario) -> str:
         "tradeoff": chsh_r_tradeoff_check(sc),
         "gram": [[g.real.tolist(), g.imag.tolist()] for g in gram],
     })
+
+
+def random_nparty(rng, n: int) -> NPartyCorrelators:
+    """Correlation pairs at a random overall scale, so both n-party verdicts occur."""
+    def block():
+        return np.clip(rng.uniform(-1, 1, (n, 2)) * rng.uniform(0, 1.5) / math.sqrt(n), -1, 1)
+    return NPartyCorrelators(rho_first=block(), rho_second=block())
+
+
+def precondition_holds(npc: NPartyCorrelators, r_prime: float) -> bool:
+    """Verdict of the 2x2 realizability precondition inside ``nparty_bound_check``."""
+    try:
+        nparty_bound_check(npc, r_prime)
+    except PreconditionError:
+        return False
+    return True

@@ -159,7 +159,7 @@ def test_06_four_interval_grid_oracle():
         res = tripartite_r_intervals(tct)
         psd_all = np.ones(grid.size, dtype=bool)
         for (j, k) in contexts:
-            base = tripartite_condition_matrix(tct, j, k, 0.0).data
+            base = tripartite_condition_matrix(tct, j, k, 0.0)
             stack = np.broadcast_to(base, (grid.size, 4, 4)).copy()
             stack[:, 2, 3] = grid
             stack[:, 3, 2] = grid
@@ -205,7 +205,7 @@ def test_07_lhv_soundness():
         b_raw = float(
             stats.raw_e[0, 0] + stats.raw_e[1, 0] + stats.raw_e[0, 1] - stats.raw_e[1, 1]
         )
-        assert abs(float(u @ m.data @ u) - (4.0 - b_raw**2)) <= 1e-9
+        assert abs(float(u @ m @ u) - (4.0 - b_raw**2)) <= 1e-9
     report(7, "local mixtures: membership, bound, witness, product covariance", True)
 
 

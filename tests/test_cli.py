@@ -1,5 +1,6 @@
 """CLI tests: verbs, exit codes, JSON round trips."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellri.cli import decode_bipartite_table, decode_scenario, decode_tripartite_table, main
+from bellri.cli import (
+    _cmd_monogamy,
+    decode_bipartite_table,
+    decode_nparty,
+    decode_scenario,
+    decode_tripartite_table,
+    main,
+)
 from bellri.errors import MalformedInputError
 from bellri.qmodel import tsirelson_scenario
 
@@ -196,6 +204,9 @@ class TestMalformedTables:
             {"pearson": [[0.5, "x"], [0.2, 0.3]]},
             {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, [1]], "p": []}},
             {"ensemble": {"weights": [0.5, {"w": 1}]}},
+            {"pearson": [[0.1, 0.2], [0.3, 0.4]], "variances": [1, 1]},
+            {"pearson": [[0.1, 0.2], [0.3, 0.4]], "means": [0, 0]},
+            {"pearson": [[0.1, 0.2], [0.3, 0.4]], "variances": {"a": ["x", 1]}},
         ],
     )
     def test_bipartite_decoder(self, tmp_path, capsys, payload):
@@ -218,6 +229,38 @@ class TestMalformedTables:
 
     def test_scenario_whole_float_dims_accepted(self):
         assert decode_scenario(dict(scenario_payload(), dims=[2.0, 2])).dims == (2, 2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"r_prime": "x", "experimenters": [{"first": [0, 0], "second": [0, 0]}]},
+            {"r_prime": None, "experimenters": [{"first": [0, 0], "second": [0, 0]}]},
+            {"r_prime": [0.5], "experimenters": [{"first": [0, 0], "second": [0, 0]}]},
+            {"r_prime": 0.0, "experimenters": [5]},
+            {"r_prime": 0.0, "experimenters": {"first": [0, 0], "second": [0, 0]}},
+            {"r_prime": 0.0, "experimenters": "first"},
+        ],
+    )
+    def test_nparty_decoder(self, tmp_path, capsys, payload):
+        with pytest.raises(MalformedInputError):
+            decode_nparty(payload)
+        path = write_json(tmp_path, "n.json", payload)
+        code, out, err = run_cli(capsys, "nparty", "--input", path)
+        assert code == 2
+        assert out is None and "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"chsh_ab": "x", "chsh_ac": 0.0}, {"chsh_ab": 1.0, "chsh_ac": [1.0]},
+         {"chsh_ab": None, "chsh_ac": 0.0}],
+    )
+    def test_monogamy_handler(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path, "m.json", payload)
+        with pytest.raises(MalformedInputError):
+            _cmd_monogamy(argparse.Namespace(input=path, tol=1e-9))
+        code, out, err = run_cli(capsys, "monogamy", "--input", path)
+        assert code == 2
+        assert out is None and "error" in json.loads(err)
 
     def test_ragged_tripartite_block(self):
         payload = {"pearson_ab": [[0.1], [0.2, 0.3]], "pearson_ac": [[0, 0], [0, 0]],

@@ -88,7 +88,7 @@ class TestIsLocal:
 
 class TestProductCovariance:
     def test_uniform_gives_identity(self):
-        m = product_cov_matrix(LhvEnsemble.uniform()).data
+        m = product_cov_matrix(LhvEnsemble.uniform())
         np.testing.assert_allclose(m, np.eye(4), atol=1e-15)
         u = np.array([1.0, 1.0, 1.0, -1.0])
         assert u @ m @ u == pytest.approx(4.0)
@@ -99,7 +99,7 @@ class TestProductCovariance:
             w[0b1111] += 1.0 - eps
             ens = LhvEnsemble(w)
             stats = statistics_of(ens)
-            m = product_cov_matrix(ens).data
+            m = product_cov_matrix(ens)
             u = np.array([1.0, 1.0, 1.0, -1.0])
             b = chsh_raw(stats.table)
             assert u @ m @ u == pytest.approx(4.0 - b * b, abs=1e-12)
@@ -111,10 +111,16 @@ class TestProductCovariance:
         for _ in range(1000):
             ens = LhvEnsemble.random(rng, concentration=rng.choice([0.2, 1.0, 4.0]))
             m = product_cov_matrix(ens)
-            np.testing.assert_allclose(m.data, product_cov_oracle(ens), atol=1e-13)
+            np.testing.assert_allclose(m, product_cov_oracle(ens), atol=1e-13)
             assert is_psd(m, tol=1e-9)
             b = chsh_raw(statistics_of(ens).table)
-            assert u @ m.data @ u == pytest.approx(4.0 - b * b, abs=1e-9)
+            assert u @ m @ u == pytest.approx(4.0 - b * b, abs=1e-9)
+
+    def test_read_only_and_exactly_symmetric(self):
+        m = product_cov_matrix(LhvEnsemble.random(np.random.default_rng(4)))
+        assert m.dtype == np.float64 and np.array_equal(m, m.T)
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
 
     def test_uncertainty_not_saturated_for_full_support(self):
         rng = np.random.default_rng(8)

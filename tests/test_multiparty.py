@@ -4,16 +4,25 @@ import math
 
 import numpy as np
 import pytest
-from conftest import optimal_ab_with_idle_charlie, uncorrelated_bc_scenario
-from oracles import tripartite_condition_matrix
+from conftest import (
+    optimal_ab_with_idle_charlie,
+    precondition_holds,
+    random_nparty,
+    uncorrelated_bc_scenario,
+)
+from oracles import (
+    bordered_oracle,
+    build_multiparty_matrix,
+    schur_complement,
+    tripartite_condition_matrix,
+)
 
 from bellri.correlators import TripartiteCorrelatorTable
 from bellri.errors import MalformedInputError, PreconditionError
-from bellri.linalg import eigenvalues_sym, is_psd, schur_complement
+from bellri.linalg import eigenvalues_sym, is_psd
 from bellri.multiparty import (
     NPartyCorrelators,
     ZetaArgs,
-    build_multiparty_matrix,
     monogamy_check,
     nparty_bound_check,
     nparty_from_pairs,
@@ -25,6 +34,12 @@ from bellri.qmodel import moments, random_scenario, tripartite_moments, tsirelso
 from bellri.ri import tlm_check
 
 SQRT2 = math.sqrt(2.0)
+
+
+def psd_boundary_scale(rho, r_prime):
+    """Largest c with [[1, r'], [r', 1]] - c^2 rho^T rho PSD (needs |r'| < 1)."""
+    inv_low = np.linalg.inv(np.linalg.cholesky(np.array([[1.0, r_prime], [r_prime, 1.0]])))
+    return 1.0 / math.sqrt(np.linalg.eigvalsh(inv_low @ rho.T @ rho @ inv_low.T)[-1])
 
 
 def random_tripartite_table(rng, scale=0.5, bc_scale=0.4):
@@ -59,7 +74,7 @@ class TestZeta:
             j, k = int(rng.integers(2)), int(rng.integers(2))
             r_prime = float(rng.uniform(-1, 1))
             m = tripartite_condition_matrix(tct, j, k, r_prime)
-            reduced = schur_complement(m, 2).data
+            reduced = schur_complement(m, 2)
             z11 = zeta_from_table(tct, 1, 1, j, k)
             z00 = zeta_from_table(tct, 0, 0, j, k)
             z01 = zeta_from_table(tct, 0, 1, j, k)
@@ -73,7 +88,7 @@ class TestZeta:
             j, k = int(rng.integers(2)), int(rng.integers(2))
             r_prime = float(rng.uniform(-0.6, 0.6))
             m = tripartite_condition_matrix(tct, j, k, r_prime)
-            reduced = schur_complement(m, 2).data
+            reduced = schur_complement(m, 2)
             det = float(np.linalg.det(reduced))
             z11 = zeta_from_table(tct, 1, 1, j, k)
             z00 = zeta_from_table(tct, 0, 0, j, k)
@@ -164,7 +179,7 @@ class TestNParty:
             rho_first=np.array([[0.1, 0.2], [0.3, 0.4]]),
             rho_second=np.zeros((2, 2)),
         )
-        m = build_multiparty_matrix(npc, 0.5, "first").data
+        m = build_multiparty_matrix(npc, 0.5, "first")
         assert m.shape == (4, 4)
         np.testing.assert_allclose(m[:2, :2], np.eye(2))
         assert m[2, 3] == 0.5
@@ -173,7 +188,7 @@ class TestNParty:
     def test_zero_data_identity(self):
         npc = NPartyCorrelators(rho_first=np.zeros((3, 2)), rho_second=np.zeros((3, 2)))
         m = build_multiparty_matrix(npc, 0.0)
-        np.testing.assert_allclose(m.data, np.eye(5))
+        np.testing.assert_allclose(m, np.eye(5))
         assert is_psd(m)
 
     def test_single_pair_reduces_to_bipartite_block(self):
@@ -181,7 +196,7 @@ class TestNParty:
         sc = random_scenario(rng, dims=(2, 2), kind="bloch")
         mom = moments(sc)
         npc, r_prime = nparty_from_pairs([mom])
-        m = build_multiparty_matrix(npc, r_prime, "first").data
+        m = build_multiparty_matrix(npc, r_prime, "first")
         pe = mom.pearson
         expected = np.array(
             [
@@ -216,7 +231,8 @@ class TestNParty:
             assert res["cap"] == pytest.approx(2 * math.sqrt(2 * n), abs=1e-12)
 
     def test_extreme_r_prime_bound_value(self):
-        for n in (1, 2, 4):
+        # no experimenter cap: the check is one 2x2 test per context at any n
+        for n in (1, 2, 4, 9, 12, 32):
             npc = NPartyCorrelators(
                 rho_first=np.zeros((n, 2)), rho_second=np.zeros((n, 2))
             )
@@ -259,5 +275,51 @@ class TestNParty:
             rho_first=np.array([[0.9, 0.9], [0.9, 0.9]]),
             rho_second=np.zeros((2, 2)),
         )
-        with pytest.raises(PreconditionError):
+        message = ("bordered matrix for context 'first' is not PSD: "
+                   "data not realizable under a common uncertainty parameter")
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
             nparty_bound_check(npc, 0.0)
+
+    def test_no_experimenters_rejected(self):
+        with pytest.raises(MalformedInputError):
+            NPartyCorrelators(rho_first=np.zeros((0, 2)), rho_second=np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_matches_bordered_oracle(self, n):
+        rng = np.random.default_rng(40 + n)
+        verdicts = []
+        for _ in range(100):
+            npc = random_nparty(rng, n)
+            r_prime = float(rng.uniform(-1, 1))
+            closed = precondition_holds(npc, r_prime)
+            assert (closed, closed) == bordered_oracle(npc, r_prime)
+            shared = np.array([[1.0, r_prime], [r_prime, 1.0]])
+            m = build_multiparty_matrix(npc, r_prime, "second")
+            np.testing.assert_allclose(
+                schur_complement(m, n), shared - npc.rho_second.T @ npc.rho_second, atol=1e-12
+            )
+            verdicts.append(closed)
+        assert 10 <= sum(verdicts) <= 90
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_at_psd_boundary(self, n):
+        # one context scaled onto the PSD boundary, then moved in or out by a
+        # relative step; inside the 1e-9 tolerance window the bordered matrix
+        # can pass where its 2x2 Schur complement fails, and the check keeps
+        # the stricter 2x2 rule
+        rng = np.random.default_rng(60 + n)
+        for _ in range(40):
+            r_prime = float(rng.uniform(-0.95, 0.95))
+            direction = rng.normal(size=(n, 2))
+            scale = psd_boundary_scale(direction, r_prime)
+            other = 0.1 * rng.uniform(-1, 1, (n, 2)) / math.sqrt(n)
+            for step in (1e-8, 3e-9, 1e-9, 3e-10, -3e-10, -1e-9, -3e-9, -1e-8):
+                rho = direction * scale * (1.0 + step)
+                if np.abs(rho).max() > 1.0:
+                    continue
+                npc = NPartyCorrelators(rho_first=rho, rho_second=other)
+                closed = precondition_holds(npc, r_prime)
+                bordered, reduced = bordered_oracle(npc, r_prime)
+                assert closed == (bordered and reduced)
+                if step <= 3e-10:
+                    assert closed

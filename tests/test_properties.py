@@ -6,7 +6,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import check_report, fresh_copy, random_mixed_scenario
+from conftest import (
+    check_report,
+    fresh_copy,
+    precondition_holds,
+    random_mixed_scenario,
+    random_nparty,
+)
+from oracles import bordered_oracle
 
 from bellri.qmodel import moments, random_scenario
 
@@ -30,3 +37,16 @@ def test_shared_moments_match_fresh_copy(seed, dims, mixed_rank):
     mom = moments(sc)
     assert mom.nu_a**2 + mom.eta_a**2 <= 1.0 + 1e-9
     assert mom.nu_b**2 + mom.eta_b**2 <= 1.0 + 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    r_prime=st.floats(-1.0, 1.0),
+)
+def test_nparty_closed_form_matches_bordered_oracle(seed, n, r_prime):
+    """The 2x2 precondition of nparty_bound_check passes iff both bordered matrices are PSD."""
+    npc = random_nparty(np.random.default_rng(seed), n)
+    closed = precondition_holds(npc, r_prime)
+    assert (closed, closed) == bordered_oracle(npc, r_prime)

@@ -303,8 +303,14 @@ class TestUncertaintyChecks:
             alice_obs=(Observable(pauli["z"]), Observable(pauli["x"])),
             bob_obs=(Observable(pauli["x"]), Observable(pauli["z"])),
         )
-        m = quantum_cov_matrix(sc, 0).data
+        m = quantum_cov_matrix(sc, 0)
         np.testing.assert_allclose(m[0, 1:], 0.0, atol=1e-12)
+
+    def test_quantum_cov_matrix_read_only_and_exactly_hermitian(self):
+        m = quantum_cov_matrix(random_scenario(np.random.default_rng(5), dims=(3, 2)), 1)
+        assert m.dtype == np.complex128 and np.array_equal(m, m.conj().T)
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
 
     def test_tsirelson_saturation_minimum_eigenvalue(self):
         m = quantum_cov_matrix(tsirelson_scenario(), 0)

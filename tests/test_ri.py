@@ -330,7 +330,7 @@ class TestTripartite:
             )
             res = tripartite_r_intervals(tct)
             mats = [
-                np.stack([tripartite_condition_matrix(tct, j, k, r).data for r in grid])
+                np.stack([tripartite_condition_matrix(tct, j, k, r) for r in grid])
                 for (j, k) in contexts
             ]
             psd_all = np.ones(len(grid), dtype=bool)
