@@ -121,6 +121,21 @@ class TestEigenvalues:
             resid = np.abs(eigenvalues_sym(0.5 * (m + m.T)) - w).max()
             assert resid <= 1e-10 * np.abs(w).max()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_hermitian_reconstruction_and_oracle(self, n):
+        # a known spectrum rotated by a random unitary comes back, and agrees
+        # with the characteristic-polynomial oracle
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            w = np.sort(rng.normal(size=n))
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            u, _ = np.linalg.qr(g)
+            m = u @ np.diag(w) @ u.conj().T
+            m = 0.5 * (m + m.conj().T)
+            got = eigenvalues_sym(m)
+            assert np.abs(got - w).max() <= 1e-10 * np.abs(w).max()
+            np.testing.assert_allclose(got, charpoly_roots(m), atol=1e-10)
+
     def test_permutation_similarity(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
