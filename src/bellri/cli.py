@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -61,10 +62,17 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _holds_bool(obj) -> bool:
+    """Whether a decoded JSON value is, or nests, true or false."""
+    return isinstance(obj, bool) or (isinstance(obj, list) and any(map(_holds_bool, obj)))
+
+
 def _float(payload: dict, key: str) -> float:
     """A required JSON number field as a float."""
     value = _require(payload, key)
     try:
+        if isinstance(value, bool):     # float() would read true as 1.0
+            raise TypeError(value)
         return float(value)
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"{key} must be a number, got {value!r}") from exc
@@ -72,6 +80,8 @@ def _float(payload: dict, key: str) -> float:
 
 def _float_array(obj) -> np.ndarray:
     """A JSON number or rectangular nested list as a float array."""
+    if _holds_bool(obj):                # numpy would read true as 1.0
+        raise MalformedInputError("expected numbers, got a JSON boolean")
     try:
         return np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -263,8 +273,8 @@ def _cmd_monogamy(args) -> tuple[dict, int]:
         b_ac = _float(payload, "chsh_ac")
     else:
         tct = decode_tripartite_table(payload)
-        b_ab = chsh_combination(tct.pearson_ab)
-        b_ac = chsh_combination(tct.pearson_ac)
+        b_ab = float(chsh_combination(tct.pearson_ab))
+        b_ac = float(chsh_combination(tct.pearson_ac))
     res = multiparty.monogamy_check(b_ab, b_ac, tol=args.tol)
     res["chsh_ab"] = b_ab
     res["chsh_ac"] = b_ac
@@ -380,7 +390,12 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     text = json.dumps(payload, indent=2)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:             # reader gone (`| head`): the rest goes to null
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -254,19 +254,19 @@ def from_probability_table(pt: ProbabilityTable, *, signaling_tol: float = 1e-9)
     )
 
 
-def chsh_combination(x) -> float:
-    """The CHSH combination x00 + x10 + x01 - x11 of a 2x2 block indexed [i, j]."""
-    return float(x[0, 0] + x[1, 0] + x[0, 1] - x[1, 1])
+def chsh_combination(x):
+    """The CHSH combination x00 + x10 + x01 - x11 of 2x2 blocks indexed [..., i, j]."""
+    return x[..., 0, 0] + x[..., 1, 0] + x[..., 0, 1] - x[..., 1, 1]
 
 
 def chsh(ct: CorrelatorTable) -> float:
     """Pearson CHSH combination rho00 + rho10 + rho01 - rho11."""
-    return chsh_combination(ct.require_defined())
+    return float(chsh_combination(ct.require_defined()))
 
 
 def chsh_raw(ct: CorrelatorTable) -> float:
     """CHSH of the raw two-point correlators <A_i B_j> = cov + mean*mean."""
-    return chsh_combination(ct.cov + np.outer(ct.means_a, ct.means_b))
+    return float(chsh_combination(ct.cov + np.outer(ct.means_a, ct.means_b)))
 
 
 def chsh_max(entries: np.ndarray) -> float:

@@ -5,36 +5,35 @@ two-qubit state (unit norm by construction), and each of the four observables
 is a unit Bloch vector from two polar angles, so every parameter vector
 decodes to a valid scenario; there are no constraints to project onto.
 
-An objective scores a ``QuantumMoments`` record. The search never builds a
-scenario per iterate: each parameter vector maps straight to its moments
-through the Bloch vectors m_A, m_B and the correlation tensor
-T_ij = <sigma_i x sigma_j> of the decoded state, in closed form. The generic
-route ``moments(ScenarioParams.from_vector(x).decode())`` gives the same
-record to rounding and serves as its oracle.
+``_two_qubit_moments`` maps an (R, 14) block of vectors in closed form to one
+``QuantumMoments`` record with a leading batch axis, each row computed alone,
+plus a mask of the rows with a vanishing variance (its oracle is
+``moments(ScenarioParams.from_vector(x).decode())``). An objective scores the
+record elementwise, one value per row (a scalar broadcasts): index
+``mom.pearson[..., i, j]`` and use NumPy, not ``float`` or ``math``. Masked
+rows score ``DEGENERATE_PENALTY``; a non-finite value on another row aborts
+with ``ObjectiveError`` naming its parameters.
 
-The optimizer is a Nelder-Mead simplex with deterministic multistart:
-restart r draws its start from a generator seeded with seed + r, and each
-converged simplex is rebuilt twice around its best vertex at a smaller scale
-to polish the optimum. The merge is an argmax with lowest-restart-index
-tie-break, so identical configs reproduce identical results.
+The optimizer is a Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308,
+1965) with deterministic multistart: restart r starts from a generator seeded
+with seed + r, and each converged simplex is rebuilt twice around its best
+vertex at a smaller scale. Each simplex is a generator that yields points and
+receives their values, so all restarts (and eta targets) run in lockstep, one
+map call per step; each restart's result equals that restart run alone, and
+ties between restarts go to the lowest index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .correlators import chsh_combination
-from .errors import BellRIError, DegenerateScenarioError, MalformedInputError
-from .qmodel import (
-    QuantumMoments,
-    QuantumScenario,
-    _bloch_vector,
-    _normalized_pair,
-    bloch_observable,
-)
+from .correlators import _VAR_FLOOR, chsh_combination
+from .errors import BellRIError, MalformedInputError
+from .qmodel import QuantumMoments, QuantumScenario, bloch_observable
 
 __all__ = [
     "ScenarioParams",
@@ -138,202 +137,241 @@ class OptResult:
     evaluations: int
     trace: tuple[float, ...]          # best value per restart
     trajectory_max: float             # max objective over every evaluation made
+    degenerate_hits: int = 0          # evaluations scored DEGENERATE_PENALTY
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.best_value):
             raise MalformedInputError("best_value must be finite")
 
 
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+# Rows of the map's trig table: sin of parameter k at k, its cos at 14 + k,
+# then sin 0 and cos 0. Parameters 0-5 are t1-t3 and p1-p3; observable o (A0,
+# A1, B0, B1) has theta = parameter 6 + 2 o and phi = parameter 7 + 2 o.
+_THETA = np.arange(6, N_PARAMS, 2)
+_TRIG_TAKE = np.array([[29, 29, 0, 0], [29, 0, 1, 1], [14, 15, 16, 2],   # |psi| = f0 f1 f2,
+                       [29, 17, 18, 19], [28, 3, 4, 5],                  # times cos, sin of arg;
+                       _THETA, _THETA, _THETA + 14,                      # n = (sin th, sin th,
+                       _THETA + 15, _THETA + 1, [29] * 4])   # cos th) times (cos ph, sin ph, 1)
+# <sigma_i x sigma_j> (i, j = 0..3, sigma_0 = 1) at 4 i + j: row a of the
+# Kronecker product has one nonzero, f = f' + i f'' in column b, so the
+# expectation sums Re(conj(psi_a) f psi_b) over a: with u = (Re psi, Im psi),
+# f' (u_a u_b + u_a+4 u_b+4) for real f, f'' (u_a+4 u_b - u_a u_b+4) otherwise;
+# each coefficient is +-1, and a negative one takes its left factor from -u.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_KRON = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]).reshape(16, 4, 4)
+_COL = np.abs(_KRON).argmax(axis=2).T
+_PHASE = np.take_along_axis(_KRON, _COL.T[..., None], axis=2)[..., 0].T
+_PAULI_SUMS = (np.arange(8)[:, None] + 8 * (np.vstack([_PHASE.real - _PHASE.imag,
+                                                       _PHASE.real + _PHASE.imag]) < 0),
+               np.vstack([_COL + 4 * (_PHASE.imag != 0), _COL + 4 * (_PHASE.imag == 0)]))
+# Rows of the block z: component c of observable o (A0, A1, B0, B1) at
+# 4 c + o, then <sigma_i x sigma_j> at 12 + 4 i + j, so m_A[c] at 16 + 4 c,
+# m_B[c] at 13 + c and T[c, k] at 17 + 4 c + k; the negatives of these 28
+# rows follow, then a zero row. Each entry below sums three products of rows,
+# as (left, right) pairs; the first table's entries run over z, the second's
+# left factors over the first table's sums.
+_M_ROWS = [[16 + 4 * c for c in range(3)], [13 + c for c in range(3)]]
+_SUMS_A = np.array(
+    [[(4 * c + o, _M_ROWS[o // 2][c]) for c in range(3)] for o in range(4)]                 # <X_o>
+    + [[(4 * c + i, 17 + 4 * c + k) for c in range(3)] for i in range(2) for k in range(3)]
+    + [[(4 * ((c + 1) % 3) + 2 * p + 1, 4 * ((c + 2) % 3) + 2 * p),    # (X1 x X0)_c, party p
+        (28 + 4 * ((c + 2) % 3) + 2 * p + 1, 4 * ((c + 1) % 3) + 2 * p), (56, 0)]
+       for c in range(3) for p in range(2)]
+    + [[(4 * c + 2 * p + 1, 4 * c + 2 * p) for c in range(3)] for p in range(2)]        # X1.X0
+).transpose(2, 1, 0)
+_SUMS_B = np.array(
+    [[(4 + 3 * i + k, 4 * k + 2 + j) for k in range(3)] for i in range(2) for j in range(2)]
+    + [[(10 + 2 * c + p, 28 + _M_ROWS[p][c]) for c in range(3)] for p in range(2)]  # -(X1 x X0).m
+).transpose(2, 1, 0)
+# <X1><X0> per party, <A_i><B_j>; all eight: the variances under nu, Pearson, eta
+_PAIR_A, _PAIR_B = np.array([1, 3, 0, 0, 1, 1, 1, 3]), np.array([0, 2, 2, 3, 2, 3, 0, 2])
 
 
-def _two_qubit_moments(x) -> QuantumMoments:
-    """Moments of the scenario a parameter vector decodes to, in closed form.
+def _sums(a: np.ndarray, b: np.ndarray, rows, out: np.ndarray) -> None:
+    """out[e] = sum over terms t of a[left[t, e]] * b[right[t, e]], with rows = (left, right)."""
+    np.add.reduce(a.take(rows[0], axis=0) * b.take(rows[1], axis=0), axis=0, out=out)
 
-    Write the decoded state as the amplitude matrix M = [[a, b], [c, d]]
-    (rows Alice, columns Bob; a is real). Alice's Bloch vector m_A, Bob's
-    m_B and the rows of T_ij = <sigma_i x sigma_j> are quadratic in the
-    amplitudes. Every observable is a unit Bloch vector n, so (n.sigma)^2 = 1
-    and, with the pair identity (u.sigma)(v.sigma) = u.v + i (u x v).sigma,
 
-        <a.sigma> = a.m_A,   var = 1 - <a.sigma>^2,
-        cov_ij = a_i^T T b_j - <A_i><B_j>,
-        r_q = a_1.a_0 + i (a_1 x a_0).m_A - <A_1><A_0>   (Bob's alike).
+def _two_qubit_moments(x) -> tuple[QuantumMoments, np.ndarray]:
+    """Moments of the scenarios an (R, 14) parameter block decodes to, in closed form.
 
-    Raises ``MalformedInputError`` on the vectors ``ScenarioParams.from_vector``
-    rejects and ``DegenerateScenarioError`` under the same variance floor as
-    ``moments``.
+    Each observable is a unit Bloch vector n, so with the state's Bloch
+    vectors m_A, m_B and T_ij = <sigma_i x sigma_j>: <a.sigma> = a.m_A,
+    var = 1 - <a.sigma>^2, cov_ij = a_i^T T b_j - <A_i><B_j> and
+    r_q = a_1.a_0 + i (a_1 x a_0).m_A - <A_1><A_0> (Bob's alike). Returns the
+    record and the mask of rows with a variance at or below the floor of
+    ``moments``, whose eta, nu and Pearson entries are meaningless. Raises
+    ``MalformedInputError`` on a block of the wrong shape or a non-finite entry.
     """
     v = np.asarray(x, dtype=np.float64)
-    if v.shape != (N_PARAMS,):
-        raise MalformedInputError(f"parameter vector must have length {N_PARAMS}")
-    v = v.tolist()
-    if not all(map(math.isfinite, v)):
+    if v.ndim != 2 or v.shape[1] != N_PARAMS:
+        raise MalformedInputError(f"parameter block must have shape (R, {N_PARAMS})")
+    if not np.isfinite(v).all():
         raise MalformedInputError("parameters must be finite")
-    t1, t2, t3, p1, p2, p3 = v[:6]
-    s1 = math.sin(t1)
-    s12 = s1 * math.sin(t2)
-    a = math.cos(t1)
-    b = s1 * math.cos(t2) * complex(math.cos(p1), math.sin(p1))
-    c = s12 * math.cos(t3) * complex(math.cos(p2), math.sin(p2))
-    d = s12 * math.sin(t3) * complex(math.cos(p3), math.sin(p3))
-    cc = c.conjugate()
-    ab, ac, ad = a * b, a * c, a * d
-    cb, cd, bd = cc * b, cc * d, b.conjugate() * d
-    na, nb, nc, nd = a * a, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
-    m_a = (2.0 * (ac.real + bd.real), 2.0 * (ac.imag + bd.imag), na + nb - nc - nd)
-    m_b = (2.0 * (ab.real + cd.real), 2.0 * (ab.imag + cd.imag), na + nc - nb - nd)
-    tx = (2.0 * (ad.real + cb.real), 2.0 * (ad.imag + cb.imag), 2.0 * (ac.real - bd.real))
-    ty = (2.0 * (ad.imag - cb.imag), 2.0 * (cb.real - ad.real), 2.0 * (ac.imag - bd.imag))
-    tz = (2.0 * (ab.real - cd.real), 2.0 * (ab.imag - cd.imag), na - nb - nc + nd)
-    alice = (_bloch_vector(v[6], v[7]), _bloch_vector(v[8], v[9]))
-    bob = (_bloch_vector(v[10], v[11]), _bloch_vector(v[12], v[13]))
-
-    def party(ns, m):
-        mean = [_dot(n, m) for n in ns]
-        var = [max(1.0 - mu * mu, 0.0) for mu in mean]
-        n1, n0 = ns[1], ns[0]
-        cross = (n1[1] * n0[2] - n1[2] * n0[1],
-                 n1[2] * n0[0] - n1[0] * n0[2],
-                 n1[0] * n0[1] - n1[1] * n0[0])
-        return mean, var, complex(_dot(n1, n0) - mean[1] * mean[0], _dot(cross, m))
-
-    mean_a, var_a, r_q_a = party(alice, m_a)
-    mean_b, var_b, r_q_b = party(bob, m_b)
-    nu_a, eta_a = _normalized_pair(var_a, r_q_a, "A")
-    nu_b, eta_b = _normalized_pair(var_b, r_q_b, "B")
-    # the rows a_i^T T, contracted with each b_j below
-    rows = [tuple(n[0] * tx[k] + n[1] * ty[k] + n[2] * tz[k] for k in range(3)) for n in alice]
-    cov = [[_dot(rows[i], bob[j]) - mean_a[i] * mean_b[j] for j in range(2)] for i in range(2)]
-    pearson = [[cov[i][j] / math.sqrt(var_a[i] * var_b[j]) for j in range(2)] for i in range(2)]
+    r = len(v)
+    trig = np.empty((30, r))
+    np.sin(v.T, out=trig[:N_PARAMS])
+    np.cos(v.T, out=trig[N_PARAMS:28])
+    trig[28], trig[29] = 0.0, 1.0
+    t = trig.take(_TRIG_TAKE, axis=0)
+    u = (((t[0] * t[1]) * t[2]) * t[3:5]).reshape(8, r)
+    z = np.empty((57, r))
+    np.multiply(t[5:8], t[8:], out=z[:12].reshape(3, 4, r))
+    _sums(np.concatenate((u, -u)), u, _PAULI_SUMS, out=z[12:28])
+    np.negative(z[:28], out=z[28:56])
+    z[56] = 0.0
+    acc = np.empty((24, r))                 # the sums of _SUMS_A, then of _SUMS_B
+    _sums(z, z, _SUMS_A, out=acc[:18])
+    mean = acc[:4]
+    var = np.maximum(1.0 - mean * mean, 0.0)
+    degenerate = (var <= _VAR_FLOOR).any(axis=0)
+    var_div = np.maximum(var, _VAR_FLOOR)   # var itself on every unmasked row
+    _sums(acc, z, _SUMS_B, out=acc[18:])
+    acc[16:22] -= mean.take(_PAIR_A[:6], axis=0) * mean.take(_PAIR_B[:6], axis=0)
+    # acc[16:]: Re r_q per party, cov, -Im r_q per party; divided: nu, Pearson, eta
+    ratio = acc[16:] / np.sqrt(var_div.take(_PAIR_A, axis=0) * var_div.take(_PAIR_B, axis=0))
+    r_q = acc[16:18] - 1j * acc[22:]
     return QuantumMoments(
-        mean_a=np.array(mean_a), mean_b=np.array(mean_b),
-        var_a=np.array(var_a), var_b=np.array(var_b),
-        cov=np.array(cov), pearson=np.array(pearson),
-        eta_a=eta_a, eta_b=eta_b, nu_a=nu_a, nu_b=nu_b,
-        r_q_a=r_q_a, r_q_b=r_q_b,
-    )
+        mean[:2].T, mean[2:].T, var[:2].T, var[2:].T,
+        acc[18:22].reshape(2, 2, r).transpose(2, 0, 1),
+        ratio[2:6].reshape(2, 2, r).transpose(2, 0, 1),
+        ratio[6], ratio[7], ratio[0], ratio[1], r_q[0], r_q[1],
+    ), degenerate
 
 
 class _Evaluator:
-    """Wraps a moments objective into a vector function with accounting."""
+    """An objective and its accounting over every search that uses it."""
 
     def __init__(self, objective):
         self.objective = objective
-        self.count = 0
+        self.count = self.degenerate_hits = 0
         self.maximum = -math.inf
 
-    def __call__(self, x: np.ndarray) -> float:
-        try:
-            val = float(self.objective(_two_qubit_moments(x)))
-        except DegenerateScenarioError:
-            val = DEGENERATE_PENALTY
-        if not math.isfinite(val):
+    def score(self, x: np.ndarray, mom: QuantumMoments, degenerate: np.ndarray) -> np.ndarray:
+        """Objective values of the rows x, whose moments are mom."""
+        vals = np.where(degenerate, DEGENERATE_PENALTY, self.objective(mom))
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i = int(finite.argmin())
             raise ObjectiveError(
-                f"objective returned {val!r} at parameters {x.tolist()}"
-            )
-        self.count += 1
-        if val > self.maximum:
-            self.maximum = val
-        return -val                    # simplex minimizes
+                f"objective returned {float(vals[i])!r} at parameters {x[i].tolist()}")
+        self.count += len(vals)
+        self.degenerate_hits += int(np.count_nonzero(degenerate))
+        self.maximum = max(self.maximum, float(vals.max()))
+        return vals
 
 
-def _nelder_mead(f, x0: np.ndarray, step: float, tol: float, budget: list[int]) -> tuple[np.ndarray, float]:
-    """Classic simplex descent on f; budget is a mutable remaining-eval counter."""
+def _lockstep(jobs) -> list:
+    """Run (evaluator, search) jobs in lockstep and return each search's result.
+
+    A search yields blocks of points and receives their values to minimize. Each
+    step maps all blocks in one call and scores each evaluator's (adjacent) rows
+    in one objective call.
+    """
+    results = [None] * len(jobs)
+    live = [(i, ev, gen, next(gen)) for i, (ev, gen) in enumerate(jobs)]
+    while live:
+        x = np.concatenate([job[3] for job in live])
+        mom, degenerate = _two_qubit_moments(x)
+        values, lo = [], 0
+        for ev, group in itertools.groupby(live, key=lambda job: job[1]):
+            rows = slice(lo, lo + sum(len(job[3]) for job in group))
+            part = mom if rows.stop - lo == len(x) else QuantumMoments(
+                *(getattr(mom, fld.name)[rows] for fld in fields(mom)))
+            values += (-ev.score(x[rows], part, degenerate[rows])).tolist()
+            lo = rows.stop
+        stepped, lo = [], 0
+        for i, ev, gen, block in live:
+            try:
+                stepped.append((i, ev, gen, gen.send(values[lo:lo + len(block)])))
+            except StopIteration as done:
+                results[i] = done.value
+            lo += len(block)
+        live = stepped
+    return results
+
+
+def _nelder_mead(x0: np.ndarray, step: float, tol: float, budget: int):
+    """Classic simplex descent; returns (best point, value, budget left).
+
+    Yields blocks of points and receives their values: the initial simplex and
+    a shrink are one block each, a reflection, expansion or contraction one row.
+    """
     n = x0.size
-    pts = [x0.copy()]
-    for i in range(n):
-        y = x0.copy()
-        y[i] += step
-        pts.append(y)
-    vals = []
-    for p in pts:
-        if budget[0] <= 0:
-            break
-        budget[0] -= 1
-        vals.append(f(p))
-    while len(vals) < len(pts):
-        vals.append(math.inf)
-    pts = np.array(pts)
-    vals = np.array(vals)
-
-    while budget[0] > 0:
-        order = np.argsort(vals, kind="stable")
-        pts, vals = pts[order], vals[order]
+    pts = x0 + np.vstack([np.zeros(n), step * np.eye(n)])
+    vals = np.full(n + 1, math.inf)
+    k = min(n + 1, budget)
+    budget -= k
+    vals[:k] = yield pts[:k]
+    while budget > 0:
+        order = vals.argsort(kind="stable")
+        pts, vals = pts.take(order, axis=0), vals.take(order)
         if vals[-1] - vals[0] < tol:
             break
-        centroid = pts[:-1].mean(axis=0)
+        centroid = pts[:-1].sum(axis=0) / n
         xr = centroid + (centroid - pts[-1])
-        budget[0] -= 1
-        fr = f(xr)
-        if fr < vals[0]:
+        budget -= 1
+        (fr,) = yield xr[None]
+        if fr < vals[0] and budget > 0:
             xe = centroid + 2.0 * (xr - centroid)
-            if budget[0] > 0:
-                budget[0] -= 1
-                fe = f(xe)
-                if fe < fr:
-                    pts[-1], vals[-1] = xe, fe
-                    continue
+            budget -= 1
+            (fe,) = yield xe[None]
+            if fe < fr:
+                xr, fr = xe, fe
+        if fr < vals[-2]:                   # also every new best point
             pts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
+        elif budget <= 0:
+            break
         else:
             xc = centroid + 0.5 * (pts[-1] - centroid)
-            if budget[0] <= 0:
-                break
-            budget[0] -= 1
-            fc = f(xc)
+            budget -= 1
+            (fc,) = yield xc[None]
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
-            else:
-                best = pts[0].copy()
-                for i in range(1, len(pts)):
-                    if budget[0] <= 0:
-                        break
-                    pts[i] = best + 0.5 * (pts[i] - best)
-                    budget[0] -= 1
-                    vals[i] = f(pts[i])
-    order = np.argsort(vals, kind="stable")
-    return pts[order][0], float(vals[order][0])
+            elif budget > 0:
+                k = min(n, budget)
+                pts[1:k + 1] = pts[0] + 0.5 * (pts[1:k + 1] - pts[0])
+                budget -= k
+                vals[1:k + 1] = yield pts[1:k + 1]
+    best = int(np.argmin(vals))
+    return pts[best], float(vals[best]), budget
+
+
+def _descend(x: np.ndarray, steps, config: OptConfig):
+    """Chained simplex stages from x, each rebuilt around the last best point, on one budget."""
+    value, budget = math.inf, config.max_evals
+    for step in steps:
+        if budget <= 0:
+            break
+        x, value, budget = yield from _nelder_mead(x, step, config.tol, budget)
+    return x, -value                        # the simplex minimizes -objective
+
+
+def _restarts(evaluators, config: OptConfig) -> list[list[tuple[np.ndarray, float]]]:
+    """Each evaluator's multistart runs, all in one lockstep; restart r seeds seed + r."""
+    starts = [np.random.default_rng(config.seed + r).uniform(-math.pi, math.pi, size=N_PARAMS)
+              for r in range(config.restarts)]
+    steps = [config.init_step * 0.05 ** s for s in range(config.refine_stages + 1)]
+    runs = _lockstep([(ev, _descend(x0, steps, config)) for ev in evaluators for x0 in starts])
+    return [runs[k:k + config.restarts] for k in range(0, len(runs), config.restarts)]
 
 
 def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
     """Multistart simplex maximization of an objective on ``QuantumMoments``.
 
-    Deterministic for a fixed (objective, config): restart r seeds its own
-    generator with config.seed + r, restarts run independently, and ties
-    between restarts resolve to the lowest index.
+    Deterministic for a fixed (objective, config): each restart's result
+    equals that restart run alone, and ties resolve to the lowest restart.
     """
     ev = _Evaluator(objective)
-    best_x: np.ndarray | None = None
-    best_val = math.inf
-    trace: list[float] = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng(config.seed + r)
-        x0 = rng.uniform(-math.pi, math.pi, size=N_PARAMS)
-        budget = [config.max_evals]
-        x, v = _nelder_mead(ev, x0, config.init_step, config.tol, budget)
-        for stage in range(config.refine_stages):
-            if budget[0] <= 0:
-                break
-            x, v = _nelder_mead(ev, x, config.init_step * 0.05 ** (stage + 1), config.tol, budget)
-        trace.append(-v)
-        if v < best_val:
-            best_val = v
-            best_x = x
-    params = ScenarioParams.from_vector(best_x)
-    return OptResult(
-        best_value=-best_val,
-        best_params=params,
-        evaluations=ev.count,
-        trace=tuple(trace),
-        trajectory_max=ev.maximum,
-    )
+    [runs] = _restarts([ev], config)
+    best_x, best_value = max(runs, key=lambda run: run[1])
+    return OptResult(best_value=best_value, best_params=ScenarioParams.from_vector(best_x),
+                     evaluations=ev.count, trace=tuple(v for _, v in runs),
+                     trajectory_max=ev.maximum, degenerate_hits=ev.degenerate_hits)
 
 
-def chsh_objective(mom: QuantumMoments) -> float:
-    """Pearson CHSH of a moments record."""
+def chsh_objective(mom: QuantumMoments):
+    """Pearson CHSH of a moments record, one value per row."""
     return chsh_combination(mom.pearson)
 
 
@@ -344,8 +382,8 @@ def eta_pinned_objective(target: float, weight: float):
     as +target (the CHSH ceiling depends on eta^2 only).
     """
 
-    def objective(mom: QuantumMoments) -> float:
-        return chsh_combination(mom.pearson) - weight * (abs(mom.eta_a) - target) ** 2
+    def objective(mom: QuantumMoments):
+        return chsh_combination(mom.pearson) - weight * (np.abs(mom.eta_a) - target) ** 2
 
     return objective
 
@@ -363,33 +401,24 @@ def trace_eta_curve(
     escalated (x100 per stage, three stages) until the realized |eta_A| sits
     within ``pin_tol`` of the target, restarting the simplex from the
     previous stage's optimum. Points that never pin are flagged infeasible
-    rather than reported as maxima.
+    rather than reported as maxima. The targets run in lockstep, stage by
+    stage, and each point equals the point traced alone.
     """
     targets = [float(t) for t in eta_grid]
     if not all(0.0 <= t <= 1.0 for t in targets):
         raise MalformedInputError("eta targets must lie in [0, 1]")
-    out = []
-    for target in targets:
-        result = maximize(eta_pinned_objective(target, base_weight), config)
-        x = result.best_params.to_vector()
-        evals = result.evaluations
-        # escalate the pin from the located basin: the base weight trades a
-        # small eta drift for smoothness, the follow-up stages remove it
-        for weight in (base_weight * 1e2, base_weight * 1e4):
-            ev = _Evaluator(eta_pinned_objective(target, weight))
-            budget = [config.max_evals]
-            for step in (0.03, 0.003):
-                x, _ = _nelder_mead(ev, x, step, config.tol, budget)
-            evals += ev.count
-        mom = _two_qubit_moments(x)
-        achieved = abs(mom.eta_a)
-        out.append(
-            {
-                "eta": target,
-                "eta_achieved": float(achieved),
-                "max_chsh": chsh_objective(mom),
-                "feasible": bool(abs(achieved - target) <= pin_tol),
-                "evaluations": int(evals),
-            }
-        )
-    return out
+    evs = [_Evaluator(eta_pinned_objective(t, base_weight)) for t in targets]
+    xs = [max(runs, key=lambda run: run[1])[0] for runs in _restarts(evs, config)]
+    # escalate the pin from the located basin: the base weight trades a
+    # small eta drift for smoothness, the follow-up stages remove it; each
+    # target keeps its evaluator, so its count spans every stage
+    for weight in (base_weight * 1e2, base_weight * 1e4):
+        for ev, t in zip(evs, targets):
+            ev.objective = eta_pinned_objective(t, weight)
+        xs = [x for x, _ in _lockstep([(ev, _descend(x, (0.03, 0.003), config))
+                                       for ev, x in zip(evs, xs)])]
+    mom, _ = _two_qubit_moments(np.array(xs))
+    achieved, chsh = np.abs(mom.eta_a), chsh_objective(mom)
+    return [{"eta": t, "eta_achieved": float(a), "max_chsh": float(c),
+             "feasible": bool(abs(a - t) <= pin_tol), "evaluations": ev.count}
+            for t, a, c, ev in zip(targets, achieved, chsh, evs)]

@@ -236,6 +236,8 @@ def _normalized_pair(var, r_q: complex, label: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuantumMoments:
+    """Bipartite moment data; the optimizer's batched map adds a leading row axis to each field."""
+
     mean_a: np.ndarray
     mean_b: np.ndarray
     var_a: np.ndarray
@@ -460,7 +462,7 @@ def quantum_tlm_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
 def tsirelson_eta_bound(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     """CHSH magnitude against 2 sqrt(2) sqrt(1 - max(eta_A^2, eta_B^2))."""
     mom = _scenario_moments(sc)
-    chsh = chsh_combination(mom.pearson)
+    chsh = float(chsh_combination(mom.pearson))
     eta2 = max(mom.eta_a**2, mom.eta_b**2)
     bound = SQRT8 * math.sqrt(max(0.0, 1.0 - eta2))
     return {"chsh": chsh, "bound": bound, "pass": abs(chsh) <= bound + tol}
@@ -474,7 +476,7 @@ def chsh_r_tradeoff_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     for anything else.
     """
     mom = _scenario_moments(sc)
-    chsh = chsh_combination(mom.pearson)
+    chsh = float(chsh_combination(mom.pearson))
     r_term = float(abs(mom.r_q_a) ** 2 / (mom.var_a[0] * mom.var_a[1]))
     chsh_term = (chsh / SQRT8) ** 2
     return {
@@ -598,14 +600,10 @@ def outcome_distribution(sc: QuantumScenario) -> ProbabilityTable:
 # ---------------------------------------------------------------------------
 
 
-def _bloch_vector(theta: float, phi: float) -> tuple[float, float, float]:
-    s = math.sin(theta)
-    return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
-
-
 def bloch_observable(theta: float, phi: float) -> Observable:
     """Qubit observable n . sigma with unit Bloch vector from polar angles."""
-    nx, ny, nz = _bloch_vector(theta, phi)
+    s = math.sin(theta)
+    nx, ny, nz = s * math.cos(phi), s * math.sin(phi), math.cos(theta)
     return Observable(np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]))
 
 

@@ -109,7 +109,9 @@ def test_03_commutator_terms_tighten_the_bound():
 
 def test_04_constrained_ceiling_curve():
     targets = [0.0, 0.25, 0.5, 1.0 / SQRT2, 0.9]
+    t0 = time.monotonic()
     pts = trace_eta_curve(targets, OptConfig(restarts=16, max_evals=1800, seed=0))
+    elapsed = time.monotonic() - t0
     worst = 0.0
     ok = True
     for p in pts:
@@ -118,7 +120,7 @@ def test_04_constrained_ceiling_curve():
         ok = ok and p["feasible"] and abs(p["max_chsh"] - ref) <= 5e-3
     values = ", ".join(f"{p['max_chsh']:.3f}" for p in pts)
     report(4, "constrained maxima match the closed-form curve", ok,
-           f"values=[{values}] worst_diff={worst:.2e}")
+           f"values=[{values}] worst_diff={worst:.2e} t={elapsed:.1f}s")
 
 
 def test_05_max_box_infeasibility(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +209,7 @@ class TestMalformedTables:
             {"pearson": [[0.1, 0.2], [0.3, 0.4]], "variances": [1, 1]},
             {"pearson": [[0.1, 0.2], [0.3, 0.4]], "means": [0, 0]},
             {"pearson": [[0.1, 0.2], [0.3, 0.4]], "variances": {"a": ["x", 1]}},
+            {"pearson": [[True, 0.2], [0.3, 0.4]]},
         ],
     )
     def test_bipartite_decoder(self, tmp_path, capsys, payload):
@@ -239,6 +242,8 @@ class TestMalformedTables:
             {"r_prime": 0.0, "experimenters": [5]},
             {"r_prime": 0.0, "experimenters": {"first": [0, 0], "second": [0, 0]}},
             {"r_prime": 0.0, "experimenters": "first"},
+            {"r_prime": True, "experimenters": [{"first": [False, False], "second": [False, False]}]},
+            {"r_prime": 0.0, "experimenters": [{"first": [False, 0], "second": [0, 0]}]},
         ],
     )
     def test_nparty_decoder(self, tmp_path, capsys, payload):
@@ -267,6 +272,25 @@ class TestMalformedTables:
                    "pearson_bc": [[0, 0], [0, 0]]}
         with pytest.raises(MalformedInputError):
             decode_tripartite_table(payload)
+
+
+class TestBrokenPipe:
+    def test_closed_reader_keeps_exit_code_and_out_file(self, tmp_path, monkeypatch):
+        # a stdout whose reader is gone: every write raises BrokenPipeError
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        broken = open(write_fd, "w")
+        with pytest.raises(BrokenPipeError):
+            broken.write("x")
+            broken.flush()
+        monkeypatch.setattr(sys, "stdout", broken)
+        path = write_json(tmp_path, "pr.json", pr_box_payload())
+        out = tmp_path / "out.json"
+        code = main(["classify", "--input", path, "--out", str(out)])
+        monkeypatch.undo()
+        broken.close()
+        assert code == 1
+        assert json.loads(out.read_text())["ri_feasible"] is False
 
 
 class TestQuantumVerbs:

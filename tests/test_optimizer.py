@@ -1,6 +1,9 @@
 """Optimizer tests: simplex search, parameter decoding, eta-pinned curve."""
 
+import dataclasses
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +11,13 @@ import pytest
 from bellri import optimizer
 from bellri.errors import DegenerateScenarioError, MalformedInputError
 from bellri.optimizer import (
+    DEGENERATE_PENALTY,
     N_PARAMS,
     ObjectiveError,
     OptConfig,
     ScenarioParams,
+    _Evaluator,
+    _lockstep,
     _two_qubit_moments,
     chsh_objective,
     eta_pinned_objective,
@@ -21,6 +27,8 @@ from bellri.optimizer import (
 from bellri.qmodel import moments
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+FIELDS = ("mean_a", "mean_b", "var_a", "var_b", "cov", "pearson",
+          "eta_a", "eta_b", "nu_a", "nu_b", "r_q_a", "r_q_b")
 
 
 class TestParams:
@@ -50,7 +58,12 @@ class TestParams:
             with pytest.raises(MalformedInputError):
                 ScenarioParams.from_vector(x)
             with pytest.raises(MalformedInputError):
-                _two_qubit_moments(x)
+                _two_qubit_moments(x[None])
+        # a non-finite entry rejects the whole block; a bare vector is not a block
+        with pytest.raises(MalformedInputError):
+            _two_qubit_moments(np.vstack([np.full(N_PARAMS, 0.3), bad[1]]))
+        with pytest.raises(MalformedInputError):
+            _two_qubit_moments(np.full(N_PARAMS, 0.3))
 
 
 class TestClosedFormMoments:
@@ -59,11 +72,19 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("half_width", [math.pi, 50.0])
     def test_matches_generic_moments(self, half_width):
         rng = np.random.default_rng(int(half_width))
+        xs = rng.uniform(-half_width, half_width, size=(500, N_PARAMS))
+        batches = [_two_qubit_moments(xs[lo:lo + 100]) for lo in range(0, 500, 100)]
         checked = 0
-        for _ in range(500):
-            x = rng.uniform(-half_width, half_width, size=N_PARAMS)
-            ref = moments(ScenarioParams.from_vector(x).decode())
-            mom = _two_qubit_moments(x)
+        for k, x in enumerate(xs):
+            batch, degenerate = batches[k // 100]
+            mom = SimpleNamespace(**{name: getattr(batch, name)[k % 100] for name in FIELDS})
+            sc = ScenarioParams.from_vector(x).decode()
+            try:
+                ref = moments(sc)
+            except DegenerateScenarioError:
+                assert degenerate[k % 100]
+                continue
+            assert not degenerate[k % 100]
             for name in ("mean_a", "mean_b", "var_a", "var_b", "cov"):
                 np.testing.assert_allclose(getattr(mom, name), getattr(ref, name), rtol=0, atol=1e-13)
             min_var = min(ref.var_a.min(), ref.var_b.min())
@@ -128,16 +149,79 @@ class TestMaximize:
         assert len(res.trace) == 8
 
     def test_degenerate_iterates_survive(self):
-        # parameters at exact product eigenstates give zero variances; the
-        # objective must absorb them as finite penalties, not crash
+        # parameters at exact product eigenstates give zero variances; the map
+        # masks them and the search absorbs them as finite penalties
         x = np.zeros(N_PARAMS)
         sc = ScenarioParams.from_vector(x).decode()
         with pytest.raises(DegenerateScenarioError):
             moments(sc)
-        with pytest.raises(DegenerateScenarioError):
-            _two_qubit_moments(x)
+        _, degenerate = _two_qubit_moments(x[None])
+        assert degenerate.tolist() == [True]
         res = maximize(chsh_objective, OptConfig(restarts=1, max_evals=200, seed=11))
         assert math.isfinite(res.best_value)
+
+    @pytest.mark.parametrize("objective", [chsh_objective, eta_pinned_objective(0.5, 1e3)],
+                             ids=["chsh", "eta-pinned"])
+    def test_restarts_match_restarts_run_alone(self, objective):
+        # lockstep changes no restart: each equals its one-restart run
+        cfg = OptConfig(restarts=5, max_evals=600, seed=40)
+        res = maximize(objective, cfg)
+        alone = [maximize(objective, OptConfig(restarts=1, max_evals=600, seed=cfg.seed + r))
+                 for r in range(cfg.restarts)]
+        assert res.trace == tuple(a.trace[0] for a in alone)
+        assert res.evaluations == sum(a.evaluations for a in alone)
+        assert res.trajectory_max == max(a.trajectory_max for a in alone)
+        assert res.degenerate_hits == sum(a.degenerate_hits for a in alone)
+        first = max(range(cfg.restarts), key=lambda r: alone[r].best_value)
+        np.testing.assert_array_equal(res.best_params.to_vector(),
+                                      alone[first].best_params.to_vector())
+
+
+class TestLockstep:
+    """The batched map, the mask and the driver's per-row accounting."""
+
+    def test_degenerate_row_masked_alone(self):
+        rng = np.random.default_rng(8)
+        xs = np.vstack([rng.uniform(-3, 3, N_PARAMS), np.zeros(N_PARAMS),
+                        rng.uniform(-3, 3, N_PARAMS)])
+        mom, degenerate = _two_qubit_moments(xs)
+        assert degenerate.tolist() == [False, True, False]
+        for k in (0, 2):
+            alone, _ = _two_qubit_moments(xs[k:k + 1])
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(mom, name)[k], getattr(alone, name)[0])
+
+    def test_degenerate_hits_scored_and_counted(self):
+        rng = np.random.default_rng(9)
+        block = np.vstack([rng.uniform(-3, 3, N_PARAMS), np.zeros(N_PARAMS)])
+        received = []
+
+        def search():
+            received.append((yield block))
+
+        ev = _Evaluator(lambda mom: np.full(len(mom.eta_a), np.nan))
+        with pytest.raises(ObjectiveError):
+            _lockstep([(ev, search())])
+        # the masked row scores the penalty whatever the objective says there
+        ev = _Evaluator(chsh_objective)
+        _lockstep([(ev, search())])
+        assert received[-1][1] == -DEGENERATE_PENALTY
+        assert (ev.count, ev.degenerate_hits) == (2, 1)
+        assert ev.maximum == chsh_objective(_two_qubit_moments(block[:1])[0])[0]
+
+    def test_nan_row_names_its_parameters(self):
+        xs = np.random.default_rng(10).uniform(-3, 3, size=(4, N_PARAMS))
+        mom, degenerate = _two_qubit_moments(xs)
+        ev = _Evaluator(lambda m: np.where(np.arange(4) == 2, np.nan, 1.0))
+        with pytest.raises(ObjectiveError, match=re.escape(str(xs[2].tolist()))):
+            ev.score(xs, mom, degenerate)
+        assert ev.count == 0
+
+    def test_default_degenerate_hits(self):
+        res = maximize(chsh_objective, OptConfig(restarts=1, max_evals=64, seed=0))
+        assert isinstance(res.degenerate_hits, int)
+        fields = {f.name: f.default for f in dataclasses.fields(optimizer.OptResult)}
+        assert fields["degenerate_hits"] == 0
 
 
 class TestEtaCurve:
@@ -166,6 +250,11 @@ class TestEtaCurve:
         assert abs(pts[0]["max_chsh"]) <= ceiling + 5e-3
         assert abs(pts[0]["max_chsh"]) <= 0.15
 
+    def test_targets_match_targets_traced_alone(self):
+        cfg = OptConfig(restarts=3, max_evals=300, seed=2)
+        pts = trace_eta_curve([0.3, 0.8], cfg)
+        assert pts == [trace_eta_curve([t], cfg)[0] for t in (0.3, 0.8)]
+
     def test_bad_target_rejected(self, monkeypatch):
         with pytest.raises(MalformedInputError):
             trace_eta_curve([1.5], OptConfig(restarts=1, max_evals=64, seed=0))
@@ -176,6 +265,6 @@ class TestEtaCurve:
         def no_search(*args, **kwargs):
             raise AssertionError("search ran before the targets were validated")
 
-        monkeypatch.setattr(optimizer, "maximize", no_search)
+        monkeypatch.setattr(optimizer, "_lockstep", no_search)
         with pytest.raises(MalformedInputError):
             trace_eta_curve([0.5, 1.5], OptConfig(restarts=1, max_evals=64, seed=0))
