@@ -57,7 +57,7 @@ def _read_payload(path: str) -> dict:
 
 
 def _require(payload: dict, key: str):
-    if key not in payload:
+    if not isinstance(payload, dict) or key not in payload:
         raise MalformedInputError(f"missing required field {key!r}")
     return payload[key]
 
@@ -76,6 +76,14 @@ def _float(payload: dict, key: str) -> float:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _numbers(text: str, kind, what: str) -> list:
+    """A comma-separated command-line list, each entry read by ``kind`` (int or float)."""
+    try:
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise MalformedInputError(f"{what} must list comma-separated numbers, got {text!r}") from exc
 
 
 def _float_array(obj) -> np.ndarray:
@@ -207,7 +215,7 @@ def _cmd_tlm_check(args) -> tuple[dict, int]:
 
 def _cmd_epsilon(args) -> tuple[dict, int]:
     ct, _ = decode_bipartite_table(_read_payload(args.input))
-    eps = ri.epsilon_gap(ct)
+    eps = ri.epsilon_gap(ct, tol=args.tol)
     return {"epsilon": eps}, 0 if eps == 0.0 else 1
 
 
@@ -289,10 +297,9 @@ def _cmd_nparty(args) -> tuple[dict, int]:
 
 def _cmd_zeta_bound(args) -> tuple[dict, int]:
     tct = decode_tripartite_table(_read_payload(args.input))
-    ctx1 = tuple(int(x) for x in args.context.split(","))
-    ctx2 = tuple(int(x) for x in args.context2.split(","))
-    if len(ctx1) != 2 or len(ctx2) != 2:
-        raise MalformedInputError("contexts must be 'l,k' pairs")
+    ctx1, ctx2 = (tuple(_numbers(c, int, "contexts")) for c in (args.context, args.context2))
+    if not all(len(c) == 2 and set(c) <= {0, 1} for c in (ctx1, ctx2)):
+        raise MalformedInputError("contexts must be 'l,k' pairs of settings 0 or 1")
     res = multiparty.zeta_bound_check(tct, ctx1=ctx1, ctx2=ctx2, tol=args.tol)
     return res, 0 if res["pass"] else 1
 
@@ -317,7 +324,7 @@ def _cmd_optimize(args) -> tuple[dict, int]:
 
 
 def _cmd_eta_curve(args) -> tuple[dict, int]:
-    etas = [float(x) for x in args.etas.split(",") if x.strip() != ""]
+    etas = _numbers(args.etas, float, "--etas")
     cfg = optimizer.OptConfig(
         restarts=args.restarts, max_evals=args.max_evals, seed=args.seed
     )
@@ -327,7 +334,8 @@ def _cmd_eta_curve(args) -> tuple[dict, int]:
 
 def _cmd_geometry(args) -> tuple[dict, int]:
     ct, _ = decode_bipartite_table(_read_payload(args.input))
-    return ri.emit_geometry(ct, tol=args.tol), 0
+    out = ri.emit_geometry(ct, tol=args.tol)
+    return out, 0 if out["gap"] == 0.0 else 1
 
 
 # verb -> (handler, reads --input); the order is the --help order
@@ -386,7 +394,7 @@ def main(argv=None) -> int:
         return 2
     try:
         payload, code = _VERB_TABLE[args.verb][0](args)
-    except (BellRIError, ValueError, TypeError) as exc:
+    except BellRIError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     text = json.dumps(payload, indent=2)

@@ -13,7 +13,6 @@ uncertainty parameter is assessed independently of the no-signaling condition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,6 +208,13 @@ class TripartiteCorrelatorTable:
             object.__setattr__(self, name, _freeze(v))
 
 
+def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """cov / sqrt(var_a var_b) (broadcast to 2x2), NaN where a variance is at or below its floor."""
+    defined = (var_a > floor_a) & (var_b > floor_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(defined, cov / np.sqrt(var_a * var_b), np.nan), defined
+
+
 def from_probability_table(pt: ProbabilityTable, *, signaling_tol: float = 1e-9) -> CorrelatorTable:
     """Moments of a probability table, per-context Pearson normalization.
 
@@ -229,14 +235,7 @@ def from_probability_table(pt: ProbabilityTable, *, signaling_tol: float = 1e-9)
 
     scale_a = max(1.0, float(np.abs(oa).max()) ** 2)
     scale_b = max(1.0, float(np.abs(ob).max()) ** 2)
-    pearson = np.full((2, 2), np.nan)
-    defined = np.zeros((2, 2), dtype=bool)
-    for i in range(2):
-        for j in range(2):
-            va, vb = var_a_ctx[i, j], var_b_ctx[i, j]
-            if va > _VAR_FLOOR * scale_a and vb > _VAR_FLOOR * scale_b:
-                pearson[i, j] = cov[i, j] / math.sqrt(va * vb)
-                defined[i, j] = True
+    pearson, defined = _pearson(cov, var_a_ctx, var_b_ctx, _VAR_FLOOR * scale_a, _VAR_FLOOR * scale_b)
 
     sig_var = bool(
         np.abs(var_a_ctx[:, 0] - var_a_ctx[:, 1]).max() > signaling_tol

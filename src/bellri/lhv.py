@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import _VAR_FLOOR, CorrelatorTable
+from .correlators import _VAR_FLOOR, CHSH_SIGNS, CorrelatorTable, _pearson
 from .errors import MalformedInputError
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "correlators_of",
     "statistics_of",
     "is_local",
+    "box_is_local",
     "product_cov_matrix",
 ]
 
@@ -134,14 +135,7 @@ def statistics_of(ens: LhvEnsemble) -> LhvStatistics:
     var = np.maximum(1.0 - means**2, 0.0)
     e = np.einsum("k,ki,kj->ij", w, vals[:, :2], vals[:, 2:])     # E[i, j] = <A_i B_j>
     cov = e - np.outer(means[:2], means[2:])
-    pearson = np.full((2, 2), np.nan)
-    defined = np.zeros((2, 2), dtype=bool)
-    for i in range(2):
-        for j in range(2):
-            va, vb = var[i], var[2 + j]
-            if va > _VAR_FLOOR and vb > _VAR_FLOOR:
-                pearson[i, j] = cov[i, j] / np.sqrt(va * vb)
-                defined[i, j] = True
+    pearson, defined = _pearson(cov, var[:2, None], var[None, 2:], _VAR_FLOOR, _VAR_FLOOR)
     table = CorrelatorTable(
         means_a=means[:2],
         means_b=means[2:],
@@ -173,9 +167,29 @@ def is_local(e, tol: float = 1e-9) -> bool:
         raise MalformedInputError("correlator matrix must be a finite 2x2 array")
     if np.abs(e).max() > 1.0 + tol:
         raise MalformedInputError(f"correlators out of range [-1, 1]: {e.tolist()}")
-    from .correlators import CHSH_SIGNS
-
     return all(abs(float((s * e).sum())) <= 2.0 + tol for s in CHSH_SIGNS)
+
+
+def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: float = 1e-9) -> bool | None:
+    """``is_local`` on the raw correlators, or None unless a no-signaling +-1 box has the moments:
+    every second moment var + mean^2 is 1, every context's implied outcome weights
+    1 + a m_A + b m_B + a b E are >= -tol, and a probability table's ``no_signaling`` report passes.
+    """
+    if no_signaling is not None and not no_signaling["pass"]:
+        return None
+    e = ct.cov + np.outer(ct.means_a, ct.means_b)
+    ma, mb, rows = ct.means_a.tolist(), ct.means_b.tolist(), e.tolist()
+    second = [v + m * m for v, m in zip(ct.var_a.tolist() + ct.var_b.tolist(), ma + mb)]
+    weights = [
+        1.0 + a * ma[i] + b * mb[j] + a * b * rows[i][j]
+        for i in (0, 1) for j in (0, 1) for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+    ]
+    if max(abs(m - 1.0) for m in second) > tol or min(weights) < -tol:
+        return None
+    try:
+        return is_local(e, tol=tol)
+    except MalformedInputError:     # |E| beyond 1 + tol by rounding
+        return None
 
 
 def product_cov_matrix(ens: LhvEnsemble) -> np.ndarray:

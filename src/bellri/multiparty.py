@@ -119,7 +119,7 @@ def monogamy_check(chsh_ab: float, chsh_ac: float, tol: float = 1e-9) -> dict:
     """Trade-off checks for two CHSH values sharing one party's settings."""
     if not (math.isfinite(chsh_ab) and math.isfinite(chsh_ac)):
         raise MalformedInputError("CHSH inputs must be finite")
-    sum_sq = chsh_ab**2 + chsh_ac**2
+    sum_sq = chsh_ab * chsh_ab + chsh_ac * chsh_ac     # ** raises OverflowError near 1e308
     sum_abs = abs(chsh_ab) + abs(chsh_ac)
     return {
         "sum_sq": sum_sq,

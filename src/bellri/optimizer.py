@@ -122,7 +122,7 @@ class OptConfig:
     init_step: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_evals < N_PARAMS + 2 or self.refine_stages < 0:
+        if self.restarts < 1 or self.max_evals < N_PARAMS + 2 or min(self.refine_stages, self.seed) < 0:
             raise MalformedInputError("config values must be positive and sane")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise MalformedInputError("tol must be finite and positive")

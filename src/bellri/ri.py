@@ -8,29 +8,32 @@ confines r' to a closed interval
     D_j = [rho_0j rho_1j - h_j,  rho_0j rho_1j + h_j],
     h_j = sqrt((1 - rho_0j^2)(1 - rho_1j^2)).
 
-Feasibility of a remote-setting-independent r' is exactly the intersection of
-the D_j, and equally (by the triangle inequality) the two-row correlator bound
-checked by ``tlm_check``. Interval intersections are evaluated as closed sets
-with additive slack: the saturation configurations touch at a single point and
-must classify as feasible.
+A remote-setting-independent r' exists iff D_0 and D_1 meet, and likewise
+Bob's role-swapped intervals for r-bar'. Each side has one signed gap
+g = max lo - min hi; where positive it is the distance between the intervals
+and a row |c_0 - c_1| - (h_0 + h_1) of the two-row correlator bound. ``tol``
+is one additive slack on the signed gap, used by every verdict: a table is
+feasible iff g_A <= tol and g_B <= tol (so the saturation configurations,
+which touch at one point, are feasible), and the correlator bound, both
+witnesses, ``epsilon``, the geometry relation and the tripartite test follow.
 
-The tripartite variant admits a third uncorrelated party and produces four
-intervals, one per remote setting context (j, k); a common r' exists iff all
-four intersect. When a context's diagonal condition
-1 - rho_ab^2 - rho_ac^2 >= 0 fails, no r' works for that context at all; this
-is reported as a context infeasibility verdict, not an input error.
+The tripartite variant admits a third uncorrelated party and gives four
+intervals, one per remote setting context (j, k), which must meet under the
+same slack. A context whose diagonal condition 1 - rho_ab^2 - rho_ac^2 >= 0
+fails admits no r' at all: a context infeasibility verdict, not an input error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .correlators import CorrelatorTable, TripartiteCorrelatorTable
 from .errors import MalformedInputError, PreconditionError
-from .lhv import is_local
+from .lhv import box_is_local
 from .linalg import is_psd
 
 __all__ = [
@@ -53,10 +56,6 @@ __all__ = [
 DEFAULT_SLACK = 1e-9
 
 
-def _halfwidth(rho0: float, rho1: float) -> float:
-    return math.sqrt(max(0.0, (1.0 - rho0 * rho0)) * max(0.0, (1.0 - rho1 * rho1)))
-
-
 @dataclass(frozen=True)
 class RInterval:
     """Admissible range of the normalized uncertainty parameter in one context."""
@@ -76,28 +75,51 @@ class RInterval:
         return {"context": self.context, "lo": self.lo, "hi": self.hi}
 
 
-def _intersect(intervals: list[RInterval], slack: float) -> tuple[float, float] | None:
-    lo = max(iv.lo for iv in intervals)
-    hi = min(iv.hi for iv in intervals)
-    if lo <= hi + slack:
-        return lo, hi
-    return None
+class _Side(NamedTuple):
+    """One party's admissible intervals c_s +- h_s, one per remote setting s."""
+
+    label: str          # the remote setting's name, "j" or "i"
+    c: tuple[float, float]
+    h: tuple[float, float]
+    gap: float          # max lo - min hi: the distance apart when > 0
+    mid: float          # 0.5 (max lo + min hi), the witness when the intervals meet
+
+    def intervals(self) -> tuple[RInterval, RInterval]:
+        return tuple(
+            RInterval(c - h, c + h, f"{self.label}={s}") for s, (c, h) in enumerate(zip(self.c, self.h))
+        )
+
+
+def _side(rows, label: str) -> _Side:
+    """``rows[s]`` holds the party's two settings' Pearson entries with remote setting s."""
+    (c0, h0), (c1, h1) = (
+        (x * y, math.sqrt(max(0.0, 1.0 - x * x) * max(0.0, 1.0 - y * y))) for x, y in rows
+    )
+    lo, hi = max(c0 - h0, c1 - h1), min(c0 + h0, c1 + h1)
+    return _Side(label, (c0, c1), (h0, h1), lo - hi, 0.5 * (lo + hi))
+
+
+def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, bool, float]:
+    """Alice's side (r' under Bob's j), Bob's side (r-bar' under Alice's i), feasible, epsilon.
+
+    Feasible iff each side's signed gap is at most ``tol``. ``epsilon`` is 0.0
+    when feasible, else Alice's gap, or Bob's where Alice's intervals meet up to
+    rounding (a tangent table's gaps can differ in sign by ~1e-11): never 0 then.
+    """
+    rows = ct.require_defined().tolist()
+    a, b = _side(zip(*rows), "j"), _side(rows, "i")
+    feasible = a.gap <= tol and b.gap <= tol
+    return a, b, feasible, 0.0 if feasible else a.gap if a.gap > 0.0 else b.gap
 
 
 def r_interval_bipartite(ct: CorrelatorTable, j: int) -> RInterval:
     """Admissible r' for Alice when the remote side uses setting j."""
-    pe = ct.require_defined()
-    c = float(pe[0, j] * pe[1, j])
-    h = _halfwidth(float(pe[0, j]), float(pe[1, j]))
-    return RInterval(lo=c - h, hi=c + h, context=f"j={j}")
+    return _side(zip(*ct.require_defined().tolist()), "j").intervals()[j]
 
 
 def r_interval_swapped(ct: CorrelatorTable, i: int) -> RInterval:
     """Role-swapped interval: admissible r-bar' for Bob under Alice's setting i."""
-    pe = ct.require_defined()
-    c = float(pe[i, 0] * pe[i, 1])
-    h = _halfwidth(float(pe[i, 0]), float(pe[i, 1]))
-    return RInterval(lo=c - h, hi=c + h, context=f"i={i}")
+    return _side(ct.require_defined().tolist(), "i").intervals()[i]
 
 
 @dataclass(frozen=True)
@@ -112,18 +134,14 @@ class TlmResult:
 
 
 def tlm_check(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> TlmResult:
-    """Two-row correlator bound on the Pearson entries.
+    """Two-row correlator bound on the Pearson entries; it passes iff the table is feasible.
 
     Row 1:  |rho00 rho10 - rho01 rho11| <= sum_j h_j
     Row 2:  |rho00 rho01 - rho10 rho11| <= sum_i h_i  (roles swapped)
     """
-    pe = ct.require_defined()
-    lhs1 = abs(float(pe[0, 0] * pe[1, 0] - pe[0, 1] * pe[1, 1]))
-    rhs1 = _halfwidth(pe[0, 0], pe[1, 0]) + _halfwidth(pe[0, 1], pe[1, 1])
-    lhs2 = abs(float(pe[0, 0] * pe[0, 1] - pe[1, 0] * pe[1, 1]))
-    rhs2 = _halfwidth(pe[0, 0], pe[0, 1]) + _halfwidth(pe[1, 0], pe[1, 1])
-    passed = lhs1 <= rhs1 + tol and lhs2 <= rhs2 + tol
-    return TlmResult(passed=passed, lhs=(lhs1, lhs2), rhs=(rhs1, rhs2))
+    a, b, feasible, _ = _gaps(ct, tol)
+    lhs = tuple(abs(side.c[0] - side.c[1]) for side in (a, b))
+    return TlmResult(passed=feasible, lhs=lhs, rhs=tuple(side.h[0] + side.h[1] for side in (a, b)))
 
 
 @dataclass(frozen=True)
@@ -139,15 +157,6 @@ class Verdict:
     intervals: tuple[RInterval, ...] = field(default_factory=tuple)
     signaling_in_variance: bool = False
     no_signaling: dict | None = None
-
-    def __post_init__(self) -> None:
-        # feasibility of a common r' is never weaker than the correlator bound
-        if self.ri_feasible and not self.quantum_compatible:
-            raise MalformedInputError("inconsistent verdict: ri_feasible without the bound")
-
-    @property
-    def infeasible(self) -> bool:
-        return not self.ri_feasible
 
     def to_json_dict(self) -> dict:
         out = {
@@ -166,94 +175,66 @@ class Verdict:
         return out
 
 
-def _verdict(
-    ct: CorrelatorTable, tol: float, local: bool | None, no_signaling: dict | None
-) -> Verdict:
-    a_intervals = [r_interval_bipartite(ct, j) for j in (0, 1)]
-    b_intervals = [r_interval_swapped(ct, i) for i in (0, 1)]
-    a_meet = _intersect(a_intervals, tol)
-    b_meet = _intersect(b_intervals, tol)
-    return Verdict(
-        local=local,
-        quantum_compatible=tlm_check(ct, tol).passed,
-        ri_feasible=a_meet is not None and b_meet is not None,
-        witness_r=0.5 * (a_meet[0] + a_meet[1]) if a_meet else None,
-        witness_r_bar=0.5 * (b_meet[0] + b_meet[1]) if b_meet else None,
-        epsilon=_gap(a_intervals),
-        intervals=tuple(a_intervals + b_intervals),
-        signaling_in_variance=ct.signaling_in_variance,
-        no_signaling=no_signaling,
-    )
-
-
 def ri_feasible_bipartite(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> Verdict:
     """Existence of setting-independent uncertainty parameters for both parties.
 
-    Feasible iff the two Alice-side intervals intersect and the role-swapped
-    Bob-side intervals intersect (closed intervals, additive slack ``tol``).
-    Witnesses are interval-intersection midpoints, a convention; any point of
-    the intersection is admissible.
+    Feasible iff Alice's two intervals and Bob's two meet (signed gaps at most
+    ``tol``). Witnesses are the midpoints of the meeting ends, a convention.
     """
-    return _verdict(ct, tol, local=None, no_signaling=None)
+    a, b, feasible, epsilon = _gaps(ct, tol)
+    return Verdict(
+        local=None,
+        quantum_compatible=feasible,
+        ri_feasible=feasible,
+        witness_r=a.mid if feasible else None,
+        witness_r_bar=b.mid if feasible else None,
+        epsilon=epsilon,
+        intervals=a.intervals() + b.intervals(),
+        signaling_in_variance=ct.signaling_in_variance,
+    )
 
 
 def classify(ct: CorrelatorTable, *, tol: float = DEFAULT_SLACK, no_signaling: dict | None = None) -> Verdict:
-    """Full verdict: locality, correlator bound, feasibility of a common r'."""
-    raw_e = ct.cov + np.outer(ct.means_a, ct.means_b)
-    try:
-        local = is_local(raw_e, tol=max(tol, 1e-9))
-    except MalformedInputError:
-        local = None
-    return _verdict(ct, tol, local=local, no_signaling=no_signaling)
+    """Full verdict: locality, correlator bound, feasibility of a common r'.
+
+    ``local`` is None unless a no-signaling +-1 box has the table's moments,
+    so local implies feasible.
+    """
+    verdict = ri_feasible_bipartite(ct, tol)
+    return replace(verdict, local=box_is_local(ct, no_signaling, tol), no_signaling=no_signaling)
 
 
-def _gap(intervals: list[RInterval]) -> float:
-    return max(0.0, float(max(iv.lo for iv in intervals) - min(iv.hi for iv in intervals)))
-
-
-def epsilon_gap(ct: CorrelatorTable) -> float:
-    """Distance between the two admissible r' intervals (0 when they meet).
+def epsilon_gap(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> float:
+    """Distance between the two admissible r' intervals (0.0 when the table is feasible).
 
     When the intervals are disjoint this is the smallest of the four numbers
     |rho00 rho10 - rho01 rho11 +- h_0 +- h_1|, and the least detectable
     signaling magnitude in the in-principle estimation protocol.
     """
-    return _gap([r_interval_bipartite(ct, j) for j in (0, 1)])
+    return _gaps(ct, tol)[3]
 
 
-def emit_geometry(ct: CorrelatorTable, tol: float = 1e-9) -> dict:
+def emit_geometry(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> dict:
     """Disk geometry of the two admissible regions in the r' plane.
 
     Each remote setting confines the normalized uncertainty parameter to a
     disk centered on the real axis; the real-axis restriction is the pair of
-    feasibility intervals, classified as disjoint, tangent, or overlapping.
+    feasibility intervals, disjoint, tangent or overlapping as Alice's signed
+    gap is above ``tol``, within it of 0, or below. ``gap`` is ``epsilon_gap``.
     """
-    circles = []
-    intervals = []
-    for j in (0, 1):
-        iv = r_interval_bipartite(ct, j)
-        center = 0.5 * (iv.lo + iv.hi)
-        radius = 0.5 * (iv.hi - iv.lo)
-        circles.append({"context": iv.context, "center": center, "radius": radius})
-        intervals.append(iv)
-    gap = max(iv.lo for iv in intervals) - min(iv.hi for iv in intervals)
-    if gap > tol:
-        relation = "disjoint"
-        touch = None
-    elif gap >= -tol:
-        relation = "tangent"
-        touch = [0.5 * (max(iv.lo for iv in intervals) + min(iv.hi for iv in intervals)), 0.0]
-    else:
-        relation = "overlapping"
-        touch = None
+    a, _, _, epsilon = _gaps(ct, tol)
+    intervals = a.intervals()
     out = {
-        "circles": circles,
-        "relation": relation,
-        "gap": max(0.0, gap),
+        "circles": [
+            {"context": iv.context, "center": 0.5 * (iv.lo + iv.hi), "radius": 0.5 * (iv.hi - iv.lo)}
+            for iv in intervals
+        ],
+        "relation": "disjoint" if a.gap > tol else "tangent" if a.gap >= -tol else "overlapping",
+        "gap": epsilon,
         "intervals": [iv.to_json_dict() for iv in intervals],
     }
-    if touch is not None:
-        out["intersection_point"] = touch
+    if out["relation"] == "tangent":
+        out["intersection_point"] = [a.mid, 0.0]
     return out
 
 
@@ -308,8 +289,8 @@ def tripartite_r_intervals(
 
     provided both bracketed diagonal terms are nonnegative; a negative
     diagonal term means no r' works for that context (reported, not raised).
-    A common r' exists iff every context is feasible and the intervals all
-    intersect; the witness is the intersection midpoint.
+    A common r' exists iff every context is feasible and the intervals' signed
+    gap is at most ``tol``; the witness is the midpoint of the meeting ends.
     """
     ab, ac, bc = tct.pearson_ab, tct.pearson_ac, tct.pearson_bc
     intervals: list[RInterval] = []
@@ -328,11 +309,9 @@ def tripartite_r_intervals(
         center = float(ab[0, j] * ab[1, j] + ac[0, k] * ac[1, k])
         h = math.sqrt(max(0.0, diag0) * max(0.0, diag1))
         intervals.append(RInterval(lo=center - h, hi=center + h, context=label))
-    common = None
-    if not infeasible and intervals:
-        meet = _intersect(intervals, tol)
-        if meet is not None:
-            common = 0.5 * (meet[0] + meet[1])
+    lo = max((iv.lo for iv in intervals), default=math.inf)
+    hi = min((iv.hi for iv in intervals), default=-math.inf)
+    common = 0.5 * (lo + hi) if not infeasible and lo - hi <= tol else None
     return TripartiteIntervalResult(
         intervals=tuple(intervals),
         common_r=common,
@@ -375,12 +354,11 @@ def pr_box_demo() -> dict:
         for r in np.linspace(-1.0, 1.0, 41)
     )
 
+    r_table = [[float((-1.0) ** k) for k in (0, 1)] for _ in (0, 1)]
     contexts = {}
-    r_table = [[0.0, 0.0], [0.0, 0.0]]
     for j in (0, 1):
         for k in (0, 1):
-            required = float((-1.0) ** k)
-            r_table[j][k] = required
+            required = r_table[j][k]
             contexts[f"j={j},k={k}"] = {
                 "r_required": required,
                 "psd_at_required": is_psd(context_matrix(j, k, 0.0, required), tol=1e-9),

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 
+from bellri.correlators import pr_box_table
 from bellri.errors import PreconditionError
+from bellri.lhv import _VERTEX_VALUES
 from bellri.multiparty import NPartyCorrelators, nparty_bound_check
 from bellri.qmodel import (
     QuantumScenario,
@@ -137,3 +139,66 @@ def precondition_holds(npc: NPartyCorrelators, r_prime: float) -> bool:
     except PreconditionError:
         return False
     return True
+
+
+def tangent_pearson(rng) -> list:
+    """Pearson table whose two admissible r' intervals touch at one point.
+
+    With rho = cos(x), cos(y) the interval of one remote setting is
+    [cos(x + y), cos(x - y)]; the second setting's angles sum to |a - b|,
+    so its lower end is the first interval's upper end.
+    """
+    a, b = rng.uniform(0.0, math.pi, size=2)
+    s = abs(a - b)
+    x = rng.uniform(0.0, s)
+    return [[math.cos(a), math.cos(x)], [math.cos(b), math.cos(s - x)]]
+
+
+def lhv_probabilities(weights) -> np.ndarray:
+    """p[i, j, a, b] of a mixture of the 16 deterministic strategies, outcomes (-1, +1)."""
+    p = np.zeros((2, 2, 2, 2))
+    for w, (a0, a1, b0, b1) in zip(weights, _VERTEX_VALUES):
+        for i, a in enumerate((a0, a1)):
+            for j, b in enumerate((b0, b1)):
+                p[i, j, int(a > 0), int(b > 0)] += w
+    return p
+
+
+TABLE_KINDS = ("pearson", "moments", "scaled", "ensemble", "box", "probabilities", "tangent", "pr-box")
+
+
+def random_table_payload(rng, kind: str) -> dict:
+    """A bipartite table of one of ``TABLE_KINDS``, as the CLI reads it.
+
+    ``moments`` has the second moments of +-1 outcomes but may imply a
+    negative probability; ``scaled`` has variances no +-1 variable has;
+    ``box`` mixes a local box with the PR box (no-signaling, +-1 outcomes);
+    ``probabilities`` generally signals and may have three outcomes.
+    """
+    if kind == "pearson":
+        return {"pearson": rng.uniform(-1, 1, (2, 2)).tolist()}
+    if kind == "moments":
+        m = rng.uniform(-0.6, 0.6, 4)
+        return {"pearson": rng.uniform(-1, 1, (2, 2)).tolist(),
+                "means": {"a": m[:2].tolist(), "b": m[2:].tolist()},
+                "variances": {"a": (1 - m[:2] ** 2).tolist(), "b": (1 - m[2:] ** 2).tolist()}}
+    if kind == "scaled":
+        return {"pearson": rng.uniform(-1, 1, (2, 2)).tolist(),
+                "variances": {"a": rng.uniform(0.1, 2, 2).tolist(), "b": rng.uniform(0.1, 2, 2).tolist()}}
+    if kind == "ensemble":
+        return {"ensemble": {"weights": rng.dirichlet(np.full(16, 0.5)).tolist()}}
+    if kind == "box":
+        share = rng.uniform(0, 1)
+        p = (1 - share) * lhv_probabilities(rng.dirichlet(np.full(16, 0.5))) + share * pr_box_table().p
+        return {"probabilities": {"outcomes_a": [-1.0, 1.0], "outcomes_b": [-1.0, 1.0], "p": p.tolist()}}
+    if kind == "probabilities":
+        na, nb = (int(n) for n in rng.integers(2, 4, size=2))
+        oa = [-1.0, 1.0] if na == 2 else sorted(rng.uniform(-2, 2, na).tolist())
+        ob = [-1.0, 1.0] if nb == 2 else sorted(rng.uniform(-2, 2, nb).tolist())
+        p = rng.dirichlet(np.ones(na * nb), size=(2, 2)).reshape(2, 2, na, nb)
+        return {"probabilities": {"outcomes_a": oa, "outcomes_b": ob, "p": p.tolist()}}
+    if kind == "tangent":
+        return {"pearson": tangent_pearson(rng)}
+    if kind == "pr-box":
+        return {"name": "pr-box"}
+    raise ValueError(kind)

@@ -2,8 +2,8 @@
 
 Each builds the same quantity as a library function by a different route
 (an explicit matrix whose PSD is the condition, a Cholesky-based Schur
-complement, a four-sign closed form, a brute-force covariance), so a test can
-check the two routes agree.
+complement, a four-sign closed form, the arcsine form of the correlator
+bound, a brute-force covariance), so a test can check the two routes agree.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from bellri.errors import MalformedInputError
 from bellri.lhv import _VERTEX_VALUES, LhvEnsemble
 from bellri.linalg import is_psd
 from bellri.multiparty import NPartyCorrelators
-from bellri.ri import _halfwidth
 
 
 class DegeneratePivotError(ArithmeticError):
@@ -24,9 +23,20 @@ def epsilon_four_signs(ct: CorrelatorTable) -> float:
     """The explicit four-sign form of ``epsilon_gap`` for disjoint intervals."""
     pe = ct.require_defined()
     center_diff = float(pe[0, 0] * pe[1, 0] - pe[0, 1] * pe[1, 1])
-    h0 = _halfwidth(pe[0, 0], pe[1, 0])
-    h1 = _halfwidth(pe[0, 1], pe[1, 1])
+    h0, h1 = (np.sqrt(np.clip(1.0 - pe[:, j] ** 2, 0.0, None).prod()) for j in (0, 1))
     return min(abs(center_diff + s0 * h0 + s1 * h1) for s0 in (1, -1) for s1 in (1, -1))
+
+
+def tlm_arcsine_slack(ct: CorrelatorTable) -> float:
+    """pi - max |sum +- arcsin rho_ij| over the four sign patterns with one odd sign.
+
+    The arcsine form of the Tsirelson-Landau-Masanes condition (Landau 1988,
+    Found. Phys. 18, 449; Masanes 2003, quant-ph/0309137): a zero-mean table
+    is quantum-realizable iff this is >= 0.
+    """
+    theta = np.arcsin(np.clip(ct.require_defined(), -1.0, 1.0))
+    odd = [np.where(np.arange(4).reshape(2, 2) == k, -1.0, 1.0) for k in range(4)]
+    return float(np.pi - max(abs(float((s * theta).sum())) for s in odd))
 
 
 def ri_condition_matrix(ct: CorrelatorTable, j: int, r_prime: float) -> np.ndarray:

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from bellri.cli import (
+    _cmd_eta_curve,
     _cmd_monogamy,
+    _cmd_zeta_bound,
     decode_bipartite_table,
     decode_nparty,
     decode_scenario,
@@ -168,6 +170,7 @@ class TestSimpleVerbs:
     def test_geometry_pr_box_disjoint(self, tmp_path, capsys):
         path = write_json(tmp_path, "pr.json", pr_box_payload())
         code, out, _ = run_cli(capsys, "geometry", "--input", path)
+        assert code == 1
         assert out["relation"] == "disjoint"
         assert out["gap"] == pytest.approx(2.0, abs=1e-12)
 
@@ -177,6 +180,8 @@ class TestGolden:
 
     Each ``<case>.stdout`` holds what the verb printed on ``<case>.json``
     when the case was added; regenerate it only for an intended output change.
+    The five table verbs share one input per table, ``<table>.json``, and
+    print ``<verb>_<table>.stdout``; each table has one exit code for all five.
     """
 
     @pytest.mark.parametrize(
@@ -193,6 +198,16 @@ class TestGolden:
         assert code == exit_code
         assert captured.err == ""
         assert captured.out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("table, exit_code", [("tangent", 0), ("pr_box", 1), ("tsirelson", 0)])
+    @pytest.mark.parametrize("verb", ["classify", "ri-intervals", "epsilon", "tlm-check", "geometry"])
+    def test_table_verb_stdout_byte_identical(self, capsys, verb, table, exit_code):
+        code = main([verb, "--input", str(GOLDEN / f"{table}.json")])
+        captured = capsys.readouterr()
+        assert code == exit_code
+        assert captured.err == ""
+        expected = GOLDEN / f"{verb.replace('-', '_')}_{table}.stdout"
+        assert captured.out == expected.read_text(encoding="utf-8")
 
 
 class TestMalformedTables:
@@ -272,6 +287,36 @@ class TestMalformedTables:
                    "pearson_bc": [[0, 0], [0, 0]]}
         with pytest.raises(MalformedInputError):
             decode_tripartite_table(payload)
+
+
+class TestMalformedArguments:
+    """Bad list-valued options raise MalformedInputError, and the CLI exits 2."""
+
+    def test_zeta_bound_context_not_integers(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json", {
+            "pearson_ab": [[0.3, -0.2], [0.1, 0.4]],
+            "pearson_ac": [[0.2, 0.1], [-0.3, 0.2]],
+            "pearson_bc": [[0.1, -0.1], [0.2, 0.0]],
+        })
+        for context in ("a,b", "0,2"):
+            with pytest.raises(MalformedInputError):
+                _cmd_zeta_bound(argparse.Namespace(input=path, context=context, context2="1,1", tol=1e-9))
+            code, out, err = run_cli(capsys, "zeta-bound", "--input", path, "--context", context)
+            assert code == 2
+            assert out is None and "error" in json.loads(err)
+
+    def test_eta_curve_etas_not_numbers(self, capsys):
+        args = argparse.Namespace(etas="x", restarts=1, max_evals=50, seed=0, tol=1e-9)
+        with pytest.raises(MalformedInputError):
+            _cmd_eta_curve(args)
+        code, out, err = run_cli(capsys, "eta-curve", "--etas", "x", "--restarts", "1")
+        assert code == 2
+        assert out is None and "error" in json.loads(err)
+
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--seed", "-1", "--restarts", "1")
+        assert code == 2
+        assert out is None and "error" in json.loads(err)
 
 
 class TestBrokenPipe:
@@ -376,6 +421,12 @@ class TestMultipartyVerbs:
         path = write_json(tmp_path, "m.json", {"chsh_ab": 2.5, "chsh_ac": 2.0})
         code, out, _ = run_cli(capsys, "monogamy", "--input", path)
         assert code == 1
+
+    def test_monogamy_near_float_max_exit_one(self, tmp_path, capsys):
+        path = write_json(tmp_path, "m.json", {"chsh_ab": 1e308, "chsh_ac": 0.0})
+        code, out, err = run_cli(capsys, "monogamy", "--input", path)
+        assert code == 1 and err == ""
+        assert out["sum_sq"] == math.inf and not out["pass_sq"]
 
     def test_nparty(self, tmp_path, capsys):
         payload = {

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import tangent_pearson
 from oracles import (
     epsilon_four_signs,
     ri_condition_matrix,
@@ -11,12 +12,20 @@ from oracles import (
     tripartite_condition_matrix,
 )
 
-from bellri.correlators import CorrelatorTable, TripartiteCorrelatorTable, from_probability_table, pr_box_table
+from bellri.correlators import (
+    CorrelatorTable,
+    ProbabilityTable,
+    TripartiteCorrelatorTable,
+    check_no_signaling,
+    from_probability_table,
+    pr_box_table,
+)
 from bellri.errors import DegenerateDataError, MalformedInputError, PreconditionError
 from bellri.lhv import LhvEnsemble, statistics_of
 from bellri.linalg import is_psd
 from bellri.ri import (
     classify,
+    emit_geometry,
     epsilon_gap,
     g_theta,
     pr_box_demo,
@@ -194,13 +203,83 @@ class TestEpsilon:
         assert found > 50
 
     def test_zero_gap_iff_intervals_meet(self):
+        # both parties' intervals, each pair within the default slack of meeting
         rng = np.random.default_rng(44)
         for _ in range(1000):
             ct = random_table(rng, scale=rng.choice([0.7, 1.0]))
-            d0 = r_interval_bipartite(ct, 0)
-            d1 = r_interval_bipartite(ct, 1)
-            meet = max(d0.lo, d1.lo) <= min(d0.hi, d1.hi)
+            meet = all(
+                max(d.lo for d in pair) - min(d.hi for d in pair) <= 1e-9
+                for pair in ([r_interval_bipartite(ct, j) for j in (0, 1)],
+                             [r_interval_swapped(ct, i) for i in (0, 1)])
+            )
             assert (epsilon_gap(ct) == 0.0) == meet
+
+
+class TestOneRule:
+    """Every bipartite verdict follows the signed gaps under one slack."""
+
+    def test_tangent_tables_are_feasible_with_zero_epsilon(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            ct = CorrelatorTable.from_pearson(tangent_pearson(rng))
+            v = classify(ct)
+            assert v.ri_feasible and v.quantum_compatible and tlm_check(ct).passed
+            assert v.epsilon == epsilon_gap(ct) == 0.0
+            assert emit_geometry(ct)["relation"] == "tangent"
+
+    def test_epsilon_reports_bob_gap_when_alice_intervals_meet(self):
+        # at a slack below the rounding scale a tangent table can be infeasible
+        # through Bob's gap alone; epsilon must then be that gap, not 0
+        rng = np.random.default_rng(5)
+        tol = 1e-15
+        for _ in range(20000):
+            ct = CorrelatorTable.from_pearson(tangent_pearson(rng))
+            lo = max(r_interval_bipartite(ct, j).lo for j in (0, 1))
+            hi = min(r_interval_bipartite(ct, j).hi for j in (0, 1))
+            lo_b = max(r_interval_swapped(ct, i).lo for i in (0, 1))
+            hi_b = min(r_interval_swapped(ct, i).hi for i in (0, 1))
+            if lo - hi <= 0.0 and lo_b - hi_b > tol:
+                break
+        else:
+            pytest.fail("no tangent table with gaps of opposite sign")
+        v = classify(ct, tol=tol)
+        assert not v.ri_feasible and not tlm_check(ct, tol).passed
+        assert v.epsilon == epsilon_gap(ct, tol) == lo_b - hi_b > 0.0
+        assert v.witness_r is None and v.witness_r_bar is None
+
+    def test_slack_moves_every_verdict_together(self):
+        # scaling a tangent table by 1 + 1e-6 opens gaps between 1e-9 and 1e-5
+        pe = np.array(tangent_pearson(np.random.default_rng(3)))
+        ct = CorrelatorTable.from_pearson(pe * (1 + 1e-6))
+        for tol, feasible in ((1e-9, False), (1e-5, True)):
+            v = classify(ct, tol=tol)
+            assert v.ri_feasible == v.quantum_compatible == tlm_check(ct, tol).passed == feasible
+            assert (epsilon_gap(ct, tol) == 0.0) == feasible
+            assert (emit_geometry(ct, tol)["gap"] == 0.0) == feasible
+
+    def test_local_needs_a_box(self):
+        # PR-box Pearson entries at Alice's variance 1/4: the raw CHSH is 2,
+        # but no +-1 variable has that variance
+        pe = np.array([[1.0, 1.0], [1.0, -1.0]])
+        ct = CorrelatorTable.from_pearson(pe, variances={"a": [0.25, 0.25]})
+        v = classify(ct)
+        assert v.local is None and not v.ri_feasible
+        # +-1 second moments, but means 0.5 and E = -0.5 give the a = b = -1
+        # weight 1 - 0.5 - 0.5 - 0.5 < 0
+        m = {"a": [0.5, 0.5], "b": [0.5, 0.5]}
+        var = {"a": [0.75, 0.75], "b": [0.75, 0.75]}
+        ct = CorrelatorTable.from_pearson(np.full((2, 2), -1.0), variances=var, means=m)
+        assert classify(ct).local is None
+        assert classify(CorrelatorTable.from_pearson(np.zeros((2, 2)))).local is True
+
+    def test_signaling_probability_table_has_no_locality_verdict(self):
+        p = np.zeros((2, 2, 2, 2))
+        p[:, 0, 1, 1] = 1.0           # Bob's setting 0: both +1
+        p[:, 1, 0, 1] = 1.0           # Bob's setting 1: Alice -1, Bob +1
+        pt = ProbabilityTable(outcomes_a=[-1.0, 1.0], outcomes_b=[-1.0, 1.0], p=p * 0.9 + 0.025)
+        ns = check_no_signaling(pt)
+        assert not ns["pass"]
+        assert classify(from_probability_table(pt), no_signaling=ns).local is None
 
 
 class TestGTheta:
