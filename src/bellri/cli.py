@@ -240,7 +240,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
             },
         }
         return out, 0
-    mom = qmodel._scenario_moments(sc)
+    mom = qmodel.moments(sc)
     out = {
         "scenario": "bipartite",
         "means": {"a": mom.mean_a.tolist(), "b": mom.mean_b.tolist()},
@@ -389,24 +389,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(json.dumps({"error": "tol must be positive and finite"}), file=sys.stderr)
-        return 2
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise MalformedInputError("tol must be positive and finite")
         payload, code = _VERB_TABLE[args.verb][0](args)
+        text = json.dumps(payload, indent=2)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise MalformedInputError(f"cannot write output {args.out!r}: {exc}") from exc
     except BellRIError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    text = json.dumps(payload, indent=2)
     try:
         print(text, flush=True)
     except BrokenPipeError:             # reader gone (`| head`): the rest goes to null
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return code
 
 

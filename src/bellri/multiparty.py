@@ -6,11 +6,17 @@ The tripartite bound compares the context quantity
                       - rho_bc_lk (rho_ab_il rho_ac_jk + rho_ab_jl rho_ac_ik) ]
                     / (1 - rho_bc_lk^2)
 
-across two remote contexts; it collapses to the bipartite two-row bound when
-the third party decouples. The n-party bound assumes mutually uncorrelated
-experimenters. Their correlation matrix with Alice's pair is the identity
-bordered by the per-experimenter correlations rho (n x 2); since the leading
-block is the identity, it is PSD exactly when the 2x2 shared-parameter block
+across two remote contexts. Each context's zeta block confines Alice's r'
+to z01 +- sqrt((1 - z00)(1 - z11)), and ``ri``'s interval rule decides
+whether the two intervals meet; a diagonal 1 - z_ii below -tol leaves no r'
+for that context and fails the check. It collapses to the bipartite two-row
+bound when the third party decouples, and with rho_bc = 0 it gives the
+verdict of ``ri.tripartite_r_intervals`` on the same two contexts.
+
+The n-party bound assumes mutually uncorrelated experimenters. Their
+correlation matrix with Alice's pair is the identity bordered by the
+per-experimenter correlations rho (n x 2); since the leading block is the
+identity, it is PSD exactly when the 2x2 shared-parameter block
 
     [[1, r'], [r', 1]] - rho^T rho
 
@@ -34,6 +40,7 @@ from .correlators import TripartiteCorrelatorTable
 from .errors import MalformedInputError, PreconditionError
 from .linalg import is_psd
 from .qmodel import QuantumMoments
+from .ri import _side
 
 __all__ = [
     "ZetaArgs",
@@ -95,24 +102,25 @@ def zeta_bound_check(
     ctx2: tuple[int, int] = (1, 1),
     tol: float = 1e-9,
 ) -> dict:
-    """Cross-context bound |z01 - z01'| <= sqrt((1-z11)(1-z00)) + sqrt((1-z11')(1-z00')).
+    """Cross-context bound |z01 - z01'| <= sqrt((1-z00)(1-z11)) + sqrt((1-z00')(1-z11')).
 
-    Contexts are (l, k) pairs of Bob/Charlie settings. Radicands are clamped
-    at zero. Quantum-generated tripartite data always passes.
+    Contexts are (l, k) pairs of Bob/Charlie settings; each one's zeta block
+    admits r' in z01 +- sqrt((1 - z00)(1 - z11)), the interval rule of ``ri``.
+    It passes iff the two intervals meet (signed gap at most ``tol``) and no
+    compared diagonal 1 - z_ii is below -``tol``, where no r' fits at all.
+    Quantum-generated tripartite data always passes.
     """
-    (l1, k1), (l2, k2) = ctx1, ctx2
-    z01_1 = zeta_from_table(tct, 0, 1, l1, k1)
-    z01_2 = zeta_from_table(tct, 0, 1, l2, k2)
-    rad1 = max(0.0, (1.0 - zeta_from_table(tct, 1, 1, l1, k1))) * max(
-        0.0, (1.0 - zeta_from_table(tct, 0, 0, l1, k1))
-    )
-    rad2 = max(0.0, (1.0 - zeta_from_table(tct, 1, 1, l2, k2))) * max(
-        0.0, (1.0 - zeta_from_table(tct, 0, 0, l2, k2))
-    )
-    lhs = abs(z01_1 - z01_2)
-    rhs = math.sqrt(rad1) + math.sqrt(rad2)
-    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + tol,
-            "zeta": {"ctx1": z01_1, "ctx2": z01_2}}
+    contexts = [
+        (zeta_from_table(tct, 0, 1, l, k),
+         1.0 - zeta_from_table(tct, 0, 0, l, k),
+         1.0 - zeta_from_table(tct, 1, 1, l, k))
+        for l, k in (ctx1, ctx2)
+    ]
+    side = _side(contexts, ("ctx1", "ctx2"))
+    diagonals_ok = min(min(d0, d1) for _, d0, d1 in contexts) >= -tol
+    return {"lhs": abs(side.c[0] - side.c[1]), "rhs": side.h[0] + side.h[1],
+            "pass": side.gap <= tol and diagonals_ok,
+            "zeta": {"ctx1": side.c[0], "ctx2": side.c[1]}}
 
 
 def monogamy_check(chsh_ab: float, chsh_ac: float, tol: float = 1e-9) -> dict:

@@ -405,8 +405,8 @@ def trace_eta_curve(
     stage, and each point equals the point traced alone.
     """
     targets = [float(t) for t in eta_grid]
-    if not all(0.0 <= t <= 1.0 for t in targets):
-        raise MalformedInputError("eta targets must lie in [0, 1]")
+    if not targets or not all(0.0 <= t <= 1.0 for t in targets):
+        raise MalformedInputError("eta targets must be a nonempty list of values in [0, 1]")
     evs = [_Evaluator(eta_pinned_objective(t, base_weight)) for t in targets]
     xs = [max(runs, key=lambda run: run[1])[0] for runs in _restarts(evs, config)]
     # escalate the pin from the located basin: the base weight trades a

@@ -37,6 +37,7 @@ from .correlators import (
     chsh_combination,
 )
 from .errors import DegenerateScenarioError, MalformedInputError
+from .ri import _pearson_contexts, _side
 
 __all__ = [
     "Observable",
@@ -116,6 +117,8 @@ class QuantumScenario:
         dims = tuple(int(d) for d in self.dims)
         if not (1 <= len(dims) <= 3):
             raise MalformedInputError("dims must list one to three parties")
+        if not all(2 <= d <= MAX_OBS_DIM for d in dims):
+            raise MalformedInputError(f"party dims must lie in 2..{MAX_OBS_DIM}, got {list(dims)}")
         total = int(np.prod(dims))
         state = np.asarray(self.state, dtype=np.complex128)
         if not np.all(np.isfinite(state)):
@@ -309,28 +312,21 @@ def _compute_moments(sc: QuantumScenario) -> QuantumMoments:
     )
 
 
-def _scenario_moments(sc: QuantumScenario) -> QuantumMoments:
-    """The scenario's one moments record, computed on the first request.
+def moments(sc: QuantumScenario) -> QuantumMoments:
+    """All bipartite moment data; raises when a needed variance vanishes.
 
-    The record is kept on the scenario outside its dataclass fields, so
-    equality, repr and hashing are unchanged; a scenario cannot change after
-    construction, so the record never goes stale. A degenerate or
-    non-bipartite scenario stores nothing and raises on every request.
+    Computed once per scenario and shared with every check that takes the
+    scenario; the record's arrays are read-only. It is kept on the scenario
+    outside its dataclass fields, so equality, repr and hashing are
+    unchanged; a scenario cannot change after construction, so the record
+    never goes stale. A degenerate or non-bipartite scenario stores nothing
+    and raises on every request.
     """
     mom = sc.__dict__.get("_moments")
     if mom is None:
         mom = _compute_moments(sc)
         object.__setattr__(sc, "_moments", mom)
     return mom
-
-
-def moments(sc: QuantumScenario) -> QuantumMoments:
-    """All bipartite moment data; raises when a needed variance vanishes.
-
-    Computed once per scenario and shared with every check that takes the
-    scenario; the record's arrays are read-only.
-    """
-    return _scenario_moments(sc)
 
 
 @dataclass(frozen=True)
@@ -392,7 +388,7 @@ def to_correlator_table(mom: QuantumMoments) -> CorrelatorTable:
 
 def schrodinger_robertson_check(sc: QuantumScenario, party: str = "a", tol: float = 1e-9) -> dict:
     """Variance product against the squared pair moment for one party."""
-    mom = _scenario_moments(sc)
+    mom = moments(sc)
     if party == "a":
         var, r_q = mom.var_a, mom.r_q_a
     elif party == "b":
@@ -413,7 +409,7 @@ def quantum_cov_matrix(sc: QuantumScenario, j: int) -> np.ndarray:
     PSD for every scenario: it is the Gram matrix of the centered operators
     applied to the state.
     """
-    mom = _scenario_moments(sc)
+    mom = moments(sc)
     m = np.array(
         [
             [mom.var_b[j], mom.cov[1, j], mom.cov[0, j]],
@@ -429,39 +425,31 @@ def quantum_cov_matrix(sc: QuantumScenario, j: int) -> np.ndarray:
 def quantum_tlm_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     """Two-row correlator bound tightened by the commutator terms.
 
-    Row 1 subtracts eta_A^2 under each radical, row 2 (roles swapped)
-    subtracts eta_B^2. Radicands are clamped at zero against floating-point
-    negatives; the per-context inequality guarantees they are nonnegative up
-    to rounding.
+    Each party's intervals are the bipartite ones narrowed by its eta^2 under
+    the radical (``ri``'s interval rule with shrink = eta^2); row 1 is Alice's
+    |c_0 - c_1| against h_0 + h_1, row 2 Bob's, and the check passes iff both
+    sides' intervals meet within ``tol``. ``per_context`` compares each of
+    Alice's contexts' (1 - rho_0j^2)(1 - rho_1j^2) with (nu_A - rho_0j rho_1j)^2
+    + eta_A^2, the realized r' against that context's disk.
     """
-    mom = _scenario_moments(sc)
-    pe = mom.pearson
-    per_context = []
-    for j in range(2):
-        lhs_ctx = (1.0 - pe[1, j] ** 2) * (1.0 - pe[0, j] ** 2)
-        rhs_ctx = (mom.nu_a - pe[0, j] * pe[1, j]) ** 2 + mom.eta_a**2
-        per_context.append({"j": j, "lhs": float(lhs_ctx), "rhs": float(rhs_ctx)})
-    row1_lhs = abs(float(pe[0, 0] * pe[1, 0] - pe[0, 1] * pe[1, 1]))
-    row1_rhs = sum(
-        math.sqrt(max(0.0, (1.0 - pe[0, j] ** 2) * (1.0 - pe[1, j] ** 2) - mom.eta_a**2))
-        for j in range(2)
-    )
-    row2_lhs = abs(float(pe[0, 0] * pe[0, 1] - pe[1, 0] * pe[1, 1]))
-    row2_rhs = sum(
-        math.sqrt(max(0.0, (1.0 - pe[i, 0] ** 2) * (1.0 - pe[i, 1] ** 2) - mom.eta_b**2))
-        for i in range(2)
-    )
+    mom = moments(sc)
+    ctx_a, ctx_b = _pearson_contexts(mom.pearson.tolist())
+    a = _side(ctx_a, ("j=0", "j=1"), mom.eta_a**2)
+    b = _side(ctx_b, ("i=0", "i=1"), mom.eta_b**2)
     return {
-        "row1": {"lhs": row1_lhs, "rhs": row1_rhs},
-        "row2": {"lhs": row2_lhs, "rhs": row2_rhs},
-        "per_context": per_context,
-        "pass": row1_lhs <= row1_rhs + tol and row2_lhs <= row2_rhs + tol,
+        "row1": {"lhs": abs(a.c[0] - a.c[1]), "rhs": a.h[0] + a.h[1]},
+        "row2": {"lhs": abs(b.c[0] - b.c[1]), "rhs": b.h[0] + b.h[1]},
+        "per_context": [
+            {"j": j, "lhs": d0 * d1, "rhs": (mom.nu_a - c) ** 2 + mom.eta_a**2}
+            for j, (c, d0, d1) in enumerate(ctx_a)
+        ],
+        "pass": a.gap <= tol and b.gap <= tol,
     }
 
 
 def tsirelson_eta_bound(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     """CHSH magnitude against 2 sqrt(2) sqrt(1 - max(eta_A^2, eta_B^2))."""
-    mom = _scenario_moments(sc)
+    mom = moments(sc)
     chsh = float(chsh_combination(mom.pearson))
     eta2 = max(mom.eta_a**2, mom.eta_b**2)
     bound = SQRT8 * math.sqrt(max(0.0, 1.0 - eta2))
@@ -475,7 +463,7 @@ def chsh_r_tradeoff_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     (the regime where the relation is derived); it is reported, not assumed,
     for anything else.
     """
-    mom = _scenario_moments(sc)
+    mom = moments(sc)
     chsh = float(chsh_combination(mom.pearson))
     r_term = float(abs(mom.r_q_a) ** 2 / (mom.var_a[0] * mom.var_a[1]))
     chsh_term = (chsh / SQRT8) ** 2
@@ -710,7 +698,7 @@ def random_scenario(
         sc = QuantumScenario(dims=dims, state=state, alice_obs=alice, bob_obs=bob)
         mom_ok = True
         try:
-            mm = _scenario_moments(sc)
+            mm = moments(sc)
             if min(mm.var_a.min(), mm.var_b.min()) < min_variance:
                 mom_ok = False
         except DegenerateScenarioError:

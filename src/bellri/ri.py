@@ -1,26 +1,31 @@
-"""Relativistic-independence feasibility engine.
+"""Relativistic-independence feasibility engine: one admissible-interval rule.
 
-A party's two-setting uncertainty block, normalized by the standard
-deviations, is [[1, r'], [r', 1]]; appending the remote party's setting-j
-correlations gives a 3x3 correlation matrix whose positive semidefiniteness
-confines r' to a closed interval
+Relativistic independence asks that a party's uncertainty parameter r' not
+depend on the remote context it is measured in. In each context the party's
+normalized conditional block z confines r' to the closed interval
 
-    D_j = [rho_0j rho_1j - h_j,  rho_0j rho_1j + h_j],
-    h_j = sqrt((1 - rho_0j^2)(1 - rho_1j^2)).
+    z01 +- sqrt((1 - z00)(1 - z11) - shrink)
 
-A remote-setting-independent r' exists iff D_0 and D_1 meet, and likewise
-Bob's role-swapped intervals for r-bar'. Each side has one signed gap
-g = max lo - min hi; where positive it is the distance between the intervals
-and a row |c_0 - c_1| - (h_0 + h_1) of the two-row correlator bound. ``tol``
-is one additive slack on the signed gap, used by every verdict: a table is
-feasible iff g_A <= tol and g_B <= tol (so the saturation configurations,
-which touch at one point, are feasible), and the correlator bound, both
-witnesses, ``epsilon``, the geometry relation and the tripartite test follow.
+(shrink = eta^2 for quantum data, 0 otherwise), and a context-independent r'
+exists iff the intervals of all contexts meet. ``_side`` is the one place
+that rule is computed: from each context's (z01, 1 - z00, 1 - z11) it builds
+the interval, and it returns the signed gap g = max lo - min hi and the
+midpoint of the meeting ends. Where g > 0 it is the distance between the
+intervals; for two contexts it is then |c_0 - c_1| - (h_0 + h_1), a row of
+the two-row correlator bound. ``tol`` is one additive slack on g.
+
+Bipartite tables give Alice two contexts, Bob's settings j, with
+z01 = rho_0j rho_1j and 1 - z_ii = 1 - rho_ij^2, and Bob the role-swapped
+two. A table is feasible iff g_A <= tol and g_B <= tol (so the saturation
+configurations, which touch at one point, are feasible), and the correlator
+bound, both witnesses, ``epsilon`` and the geometry relation follow.
 
 The tripartite variant admits a third uncorrelated party and gives four
-intervals, one per remote setting context (j, k), which must meet under the
-same slack. A context whose diagonal condition 1 - rho_ab^2 - rho_ac^2 >= 0
-fails admits no r' at all: a context infeasibility verdict, not an input error.
+contexts (j, k), with z01 = rho_ab_0j rho_ab_1j + rho_ac_0k rho_ac_1k and
+1 - z_ii = 1 - rho_ab_ij^2 - rho_ac_ik^2. A context whose diagonal is below
+-tol admits no r' at all: a context infeasibility verdict, not an input
+error. ``multiparty.zeta_bound_check`` and ``qmodel.quantum_tlm_check`` feed
+their contexts to the same rule.
 """
 
 from __future__ import annotations
@@ -29,12 +34,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .correlators import CorrelatorTable, TripartiteCorrelatorTable
 from .errors import MalformedInputError, PreconditionError
 from .lhv import box_is_local
-from .linalg import is_psd
 
 __all__ = [
     "RInterval",
@@ -76,27 +78,48 @@ class RInterval:
 
 
 class _Side(NamedTuple):
-    """One party's admissible intervals c_s +- h_s, one per remote setting s."""
+    """One parameter's admissible intervals c_s +- h_s, one per context s."""
 
-    label: str          # the remote setting's name, "j" or "i"
-    c: tuple[float, float]
-    h: tuple[float, float]
+    labels: tuple[str, ...]
+    c: tuple[float, ...]
+    h: tuple[float, ...]
     gap: float          # max lo - min hi: the distance apart when > 0
-    mid: float          # 0.5 (max lo + min hi), the witness when the intervals meet
+    mid: float          # 0.5 (max lo + min hi), the common value when the intervals meet
 
-    def intervals(self) -> tuple[RInterval, RInterval]:
-        return tuple(
-            RInterval(c - h, c + h, f"{self.label}={s}") for s, (c, h) in enumerate(zip(self.c, self.h))
-        )
+    def intervals(self) -> tuple[RInterval, ...]:
+        return tuple(RInterval(c - h, c + h, label) for label, c, h in zip(self.labels, self.c, self.h))
 
 
-def _side(rows, label: str) -> _Side:
-    """``rows[s]`` holds the party's two settings' Pearson entries with remote setting s."""
-    (c0, h0), (c1, h1) = (
-        (x * y, math.sqrt(max(0.0, 1.0 - x * x) * max(0.0, 1.0 - y * y))) for x, y in rows
-    )
-    lo, hi = max(c0 - h0, c1 - h1), min(c0 + h0, c1 + h1)
-    return _Side(label, (c0, c1), (h0, h1), lo - hi, 0.5 * (lo + hi))
+def _side(contexts, labels, shrink: float = 0.0) -> _Side:
+    """The admissible-interval rule: each context's (z01, 1 - z00, 1 - z11) gives z01 +- h.
+
+    h = sqrt(max(0, max(0, d0) max(0, d1) - shrink)); the clamps absorb
+    rounding below zero, so a caller that must reject a negative diagonal
+    checks it first. With no contexts the gap is +inf.
+    """
+    c, h, lo, hi = [], [], [], []
+    for z01, d0, d1 in contexts:
+        # the clamps as conditionals (equal to max(0, x), NaN included): written
+        # with max() calls they make every bipartite verdict about a quarter slower
+        rad = (d0 if d0 > 0.0 else 0.0) * (d1 if d1 > 0.0 else 0.0) - shrink
+        r = math.sqrt(rad) if rad > 0.0 else 0.0
+        c.append(z01)
+        h.append(r)
+        lo.append(z01 - r)
+        hi.append(z01 + r)
+    lo, hi = max(lo, default=math.inf), min(hi, default=-math.inf)
+    return _Side(tuple(labels), tuple(c), tuple(h), lo - hi, 0.5 * (lo + hi))
+
+
+def _pearson_contexts(rows) -> tuple[tuple, tuple]:
+    """Alice's contexts (Bob's setting j) and Bob's (Alice's setting i) of a Pearson block.
+
+    Each context is (rho_0 rho_1, 1 - rho_0^2, 1 - rho_1^2) for the party's two
+    settings' entries with that remote setting.
+    """
+    (p00, p01), (p10, p11) = rows
+    d00, d01, d10, d11 = 1.0 - p00 * p00, 1.0 - p01 * p01, 1.0 - p10 * p10, 1.0 - p11 * p11
+    return ((p00 * p10, d00, d10), (p01 * p11, d01, d11)), ((p00 * p01, d00, d01), (p10 * p11, d10, d11))
 
 
 def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, bool, float]:
@@ -106,20 +129,20 @@ def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, bool, float]:
     when feasible, else Alice's gap, or Bob's where Alice's intervals meet up to
     rounding (a tangent table's gaps can differ in sign by ~1e-11): never 0 then.
     """
-    rows = ct.require_defined().tolist()
-    a, b = _side(zip(*rows), "j"), _side(rows, "i")
+    ctx_a, ctx_b = _pearson_contexts(ct.require_defined().tolist())
+    a, b = _side(ctx_a, ("j=0", "j=1")), _side(ctx_b, ("i=0", "i=1"))
     feasible = a.gap <= tol and b.gap <= tol
     return a, b, feasible, 0.0 if feasible else a.gap if a.gap > 0.0 else b.gap
 
 
 def r_interval_bipartite(ct: CorrelatorTable, j: int) -> RInterval:
     """Admissible r' for Alice when the remote side uses setting j."""
-    return _side(zip(*ct.require_defined().tolist()), "j").intervals()[j]
+    return _gaps(ct, DEFAULT_SLACK)[0].intervals()[j]
 
 
 def r_interval_swapped(ct: CorrelatorTable, i: int) -> RInterval:
     """Role-swapped interval: admissible r-bar' for Bob under Alice's setting i."""
-    return _side(ct.require_defined().tolist(), "i").intervals()[i]
+    return _gaps(ct, DEFAULT_SLACK)[1].intervals()[i]
 
 
 @dataclass(frozen=True)
@@ -282,39 +305,31 @@ def tripartite_r_intervals(
     """Per-context admissible intervals for r' with an uncorrelated third party.
 
     Requires rho_bc = 0 (within 1e-9) on every supplied context. Context
-    (j, k) contributes
-
-        d_jk(+-) = rho_ab_0j rho_ab_1j + rho_ac_0k rho_ac_1k
-                   +- sqrt(prod_i [1 - rho_ab_ij^2 - rho_ac_ik^2])
-
-    provided both bracketed diagonal terms are nonnegative; a negative
-    diagonal term means no r' works for that context (reported, not raised).
-    A common r' exists iff every context is feasible and the intervals' signed
-    gap is at most ``tol``; the witness is the midpoint of the meeting ends.
+    (j, k) has z01 = rho_ab_0j rho_ab_1j + rho_ac_0k rho_ac_1k and diagonals
+    1 - z_ii = 1 - rho_ab_ij^2 - rho_ac_ik^2; a diagonal below -``tol`` means
+    no r' works for that context (reported, not raised). A common r' exists
+    iff every context is feasible and the intervals' signed gap is at most
+    ``tol``; the witness is the midpoint of the meeting ends.
     """
-    ab, ac, bc = tct.pearson_ab, tct.pearson_ac, tct.pearson_bc
-    intervals: list[RInterval] = []
-    infeasible: list[str] = []
+    ab, ac, bc = (m.tolist() for m in (tct.pearson_ab, tct.pearson_ac, tct.pearson_bc))
+    kept, labels, infeasible = [], [], []
     for (j, k) in contexts:
-        if abs(float(bc[j, k])) > 1e-9:
+        if abs(bc[j][k]) > 1e-9:
             raise PreconditionError(
-                f"context (j={j}, k={k}) has nonzero Bob-Charlie correlation {bc[j, k]}"
+                f"context (j={j}, k={k}) has nonzero Bob-Charlie correlation {bc[j][k]}"
             )
         label = f"j={j},k={k}"
-        diag0 = 1.0 - ab[0, j] ** 2 - ac[0, k] ** 2
-        diag1 = 1.0 - ab[1, j] ** 2 - ac[1, k] ** 2
-        if diag0 < -tol or diag1 < -tol:
+        d0 = 1.0 - ab[0][j] ** 2 - ac[0][k] ** 2
+        d1 = 1.0 - ab[1][j] ** 2 - ac[1][k] ** 2
+        if d0 < -tol or d1 < -tol:
             infeasible.append(label)
-            continue
-        center = float(ab[0, j] * ab[1, j] + ac[0, k] * ac[1, k])
-        h = math.sqrt(max(0.0, diag0) * max(0.0, diag1))
-        intervals.append(RInterval(lo=center - h, hi=center + h, context=label))
-    lo = max((iv.lo for iv in intervals), default=math.inf)
-    hi = min((iv.hi for iv in intervals), default=-math.inf)
-    common = 0.5 * (lo + hi) if not infeasible and lo - hi <= tol else None
+        else:
+            kept.append((ab[0][j] * ab[1][j] + ac[0][k] * ac[1][k], d0, d1))
+            labels.append(label)
+    side = _side(kept, labels)
     return TripartiteIntervalResult(
-        intervals=tuple(intervals),
-        common_r=common,
+        intervals=side.intervals(),
+        common_r=side.mid if not infeasible and side.gap <= tol else None,
         infeasible_contexts=tuple(infeasible),
     )
 
@@ -328,52 +343,36 @@ def pr_box_demo() -> dict:
     """Work the maximally-correlated no-signaling box through the machinery.
 
     Alice and Charlie share <A_i C_k> = (-1)^(i k) with an uncorrelated Bob.
-    The normalized context matrix forces every Alice-Bob correlation to zero
-    and admits exactly one uncertainty parameter per context, r_jk = (-1)^k,
+    Every context's diagonal is then -rho_ab^2, so any nonzero Alice-Bob
+    correlation leaves no admissible r' and forces rho_ab = 0; there each
+    context (j, k) admits exactly one uncertainty parameter, r_jk = (-1)^k,
     so no context-independent choice exists. It also exposes the signaling
     channel: the product A0 A1 equals (-1)^k, readable by Alice alone.
     """
-    ac = np.array([[1.0, 1.0], [1.0, -1.0]])   # pearson of A_i vs C_k = (-1)^(i k)
+    ac = [[1.0, 1.0], [1.0, -1.0]]   # pearson of A_i vs C_k = (-1)^(i k)
 
-    def context_matrix(j: int, k: int, rho_ab: float, r: float) -> np.ndarray:
-        return np.array(
-            [
-                [1.0, 0.0, rho_ab, rho_ab],
-                [0.0, 1.0, ac[1, k], ac[0, k]],
-                [rho_ab, ac[1, k], 1.0, r],
-                [rho_ab, ac[0, k], r, 1.0],
-            ]
-        )
+    def embedded(rho_ab: float) -> TripartiteIntervalResult:
+        return tripartite_r_intervals(TripartiteCorrelatorTable([[rho_ab] * 2] * 2, ac, [[0.0] * 2] * 2))
 
-    # any nonzero Alice-Bob correlation breaks PSD regardless of r
-    ab_forced_zero = all(
-        not is_psd(context_matrix(j, k, rho_ab, r), tol=1e-9)
-        for j in (0, 1)
-        for k in (0, 1)
-        for rho_ab in (0.25, -0.5)
-        for r in np.linspace(-1.0, 1.0, 41)
-    )
-
-    r_table = [[float((-1.0) ** k) for k in (0, 1)] for _ in (0, 1)]
-    contexts = {}
-    for j in (0, 1):
-        for k in (0, 1):
-            required = r_table[j][k]
-            contexts[f"j={j},k={k}"] = {
-                "r_required": required,
-                "psd_at_required": is_psd(context_matrix(j, k, 0.0, required), tol=1e-9),
-                "psd_at_zero": is_psd(context_matrix(j, k, 0.0, 0.0), tol=1e-9),
-                "signaling_product_a0a1": required,   # A0 A1 = (A0 C_k)(A1 C_k) = (-1)^k
-            }
-
+    ab_forced_zero = all(len(embedded(rho_ab).infeasible_contexts) == 4 for rho_ab in (0.25, -0.5))
+    res = embedded(0.0)
+    contexts = {
+        iv.context: {
+            "r_required": iv.lo,
+            "psd_at_required": iv.contains(iv.lo),
+            "psd_at_zero": iv.contains(0.0),
+            "signaling_product_a0a1": iv.lo,   # A0 A1 = (A0 C_k)(A1 C_k) = (-1)^k
+        }
+        for iv in res.intervals
+    }
     box = CorrelatorTable.from_pearson(ac)
     return {
-        "correlations_ac": ac.tolist(),
+        "correlations_ac": ac,
         "forced_pearson_ab": 0.0,
         "ab_forced_zero_verified": ab_forced_zero,
-        "r_table": r_table,
+        "r_table": [[iv.lo for iv in res.intervals[j : j + 2]] for j in (0, 2)],
         "contexts": contexts,
-        "common_r_exists": False,
+        "common_r_exists": res.feasible,
         "epsilon": epsilon_gap(box),
         "intervals": [r_interval_bipartite(box, j).to_json_dict() for j in (0, 1)],
     }

@@ -1,9 +1,10 @@
 """Independent oracles the tests compare the library against.
 
 Each builds the same quantity as a library function by a different route
-(an explicit matrix whose PSD is the condition, a Cholesky-based Schur
-complement, a four-sign closed form, the arcsine form of the correlator
-bound, a brute-force covariance), so a test can check the two routes agree.
+(an explicit matrix whose PSD is the condition, a brute-force PSD grid, a
+Cholesky-based Schur complement, a four-sign closed form, the arcsine form
+of the correlator bound, a brute-force covariance), so a test can check the
+two routes agree.
 """
 
 import numpy as np
@@ -79,6 +80,40 @@ def tripartite_condition_matrix(
             [ac[0, k], ab[0, j], r_prime, 1.0],
         ]
     )
+
+
+def pr_box_demo_oracle() -> dict:
+    """``pr_box_demo``'s booleans by brute force over 4x4 context matrices.
+
+    Charlie shares <A_i C_k> = (-1)^(i k) with Alice and nothing with Bob;
+    each verdict asks ``is_psd`` of ``tripartite_condition_matrix`` on an r'
+    grid: nonzero Alice-Bob correlations 0.25 and -0.5 are PSD at no r' of
+    41, each context at rho_ab = 0 is PSD at r' = (-1)^k and not at 0, and no
+    r' of 2001 is PSD in all four contexts at once.
+    """
+    ac = np.array([[1.0, 1.0], [1.0, -1.0]])
+    contexts = [(j, k) for j in (0, 1) for k in (0, 1)]
+
+    def psd(rho_ab: float, j: int, k: int, r: float) -> bool:
+        tct = TripartiteCorrelatorTable(np.full((2, 2), rho_ab), ac, np.zeros((2, 2)))
+        return is_psd(tripartite_condition_matrix(tct, j, k, r), tol=1e-9)
+
+    return {
+        "ab_forced_zero_verified": not any(
+            psd(rho_ab, j, k, r)
+            for rho_ab in (0.25, -0.5) for j, k in contexts for r in np.linspace(-1.0, 1.0, 41)
+        ),
+        "contexts": {
+            f"j={j},k={k}": {
+                "psd_at_required": psd(0.0, j, k, (-1.0) ** k),
+                "psd_at_zero": psd(0.0, j, k, 0.0),
+            }
+            for j, k in contexts
+        },
+        "common_r_exists": any(
+            all(psd(0.0, j, k, r) for j, k in contexts) for r in np.linspace(-1.0, 1.0, 2001)
+        ),
+    }
 
 
 def product_cov_oracle(ens: LhvEnsemble) -> np.ndarray:

@@ -21,7 +21,9 @@ from bellri.cli import (
     main,
 )
 from bellri.errors import MalformedInputError
+from bellri.optimizer import trace_eta_curve
 from bellri.qmodel import tsirelson_scenario
+from bellri.ri import tripartite_r_intervals
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -182,6 +184,7 @@ class TestGolden:
     when the case was added; regenerate it only for an intended output change.
     The five table verbs share one input per table, ``<table>.json``, and
     print ``<verb>_<table>.stdout``; each table has one exit code for all five.
+    ``pr_demo.stdout`` is what ``pr-demo``, which reads no input, printed.
     """
 
     @pytest.mark.parametrize(
@@ -198,6 +201,13 @@ class TestGolden:
         assert code == exit_code
         assert captured.err == ""
         assert captured.out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8")
+
+    def test_pr_demo_stdout_byte_identical(self, capsys):
+        code = main(["pr-demo"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out == (GOLDEN / "pr_demo.stdout").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("table, exit_code", [("tangent", 0), ("pr_box", 1), ("tsirelson", 0)])
     @pytest.mark.parametrize("verb", ["classify", "ri-intervals", "epsilon", "tlm-check", "geometry"])
@@ -235,7 +245,9 @@ class TestMalformedTables:
         assert code == 2
         assert out is None and "error" in json.loads(err)
 
-    @pytest.mark.parametrize("dims", [["two", 2], [2.5, 2], 2, [[2, 2]], [None, 2]])
+    @pytest.mark.parametrize(
+        "dims", [["two", 2], [2.5, 2], 2, [[2, 2]], [None, 2], [0, 2], [-2, 2], [1, 2], [1e18, 1e18]]
+    )
     def test_scenario_dims(self, tmp_path, capsys, dims):
         payload = dict(scenario_payload(), dims=dims)
         with pytest.raises(MalformedInputError):
@@ -244,6 +256,12 @@ class TestMalformedTables:
         code, out, err = run_cli(capsys, "simulate", "--input", path)
         assert code == 2
         assert out is None and "error" in json.loads(err)
+
+    @pytest.mark.parametrize("dims", [[0, 2], [-2, 2], [1, 2], [1e18, 1e18], [2, 33]])
+    def test_scenario_dims_out_of_range_named(self, dims):
+        # checked before the state length, which would blame the state
+        with pytest.raises(MalformedInputError, match=r"party dims must lie in 2\.\.32"):
+            decode_scenario(dict(scenario_payload(), dims=dims))
 
     def test_scenario_whole_float_dims_accepted(self):
         assert decode_scenario(dict(scenario_payload(), dims=[2.0, 2])).dims == (2, 2)
@@ -290,7 +308,7 @@ class TestMalformedTables:
 
 
 class TestMalformedArguments:
-    """Bad list-valued options raise MalformedInputError, and the CLI exits 2."""
+    """Bad options raise MalformedInputError, and the CLI exits 2 with nothing on stdout."""
 
     def test_zeta_bound_context_not_integers(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {
@@ -312,6 +330,22 @@ class TestMalformedArguments:
         code, out, err = run_cli(capsys, "eta-curve", "--etas", "x", "--restarts", "1")
         assert code == 2
         assert out is None and "error" in json.loads(err)
+
+    def test_eta_curve_empty_targets(self, capsys):
+        with pytest.raises(MalformedInputError, match="eta targets"):
+            trace_eta_curve([])
+        code, out, err = run_cli(capsys, "eta-curve", "--etas", ",", "--restarts", "1")
+        assert code == 2
+        assert out is None and "eta targets" in json.loads(err)["error"]
+
+    def test_out_unwritable_path_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "classify", "--input", str(GOLDEN / "tangent.json"), "--out", str(target)
+        )
+        assert code == 2
+        assert out is None and str(target) in json.loads(err)["error"]
+        assert not target.exists()
 
     def test_negative_seed(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--seed", "-1", "--restarts", "1")
@@ -452,6 +486,16 @@ class TestMultipartyVerbs:
         code, out, _ = run_cli(capsys, "zeta-bound", "--input", path)
         assert code == 0
         assert out["pass"]
+
+    def test_zeta_bound_negative_diagonal_exit_one(self, tmp_path, capsys):
+        # 1 - 0.81 - 0.81 < 0 on every context: no r' fits, as tripartite_r_intervals reports
+        payload = {"pearson_ab": [[0.9, 0.9], [0.9, 0.9]], "pearson_ac": [[0.9, 0.9], [0.9, 0.9]],
+                   "pearson_bc": [[0.0, 0.0], [0.0, 0.0]]}
+        path = write_json(tmp_path, "t.json", payload)
+        assert len(tripartite_r_intervals(decode_tripartite_table(payload)).infeasible_contexts) == 4
+        code, out, _ = run_cli(capsys, "zeta-bound", "--input", path)
+        assert code == 1
+        assert out["pass"] is False
 
 
 class TestOptimizerVerbs:

@@ -24,9 +24,17 @@ from conftest import (
 from oracles import bordered_oracle, tlm_arcsine_slack
 
 from bellri.cli import VERBS, decode_bipartite_table, main
-from bellri.correlators import CorrelatorTable, check_no_signaling
+from bellri.correlators import CorrelatorTable, TripartiteCorrelatorTable, check_no_signaling
+from bellri.multiparty import zeta_bound_check
 from bellri.qmodel import moments, random_scenario
-from bellri.ri import classify, emit_geometry, epsilon_gap, ri_feasible_bipartite, tlm_check
+from bellri.ri import (
+    classify,
+    emit_geometry,
+    epsilon_gap,
+    ri_feasible_bipartite,
+    tlm_check,
+    tripartite_r_intervals,
+)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -186,3 +194,28 @@ def test_arcsine_oracle_agrees_with_tlm_check(seed, tangent):
     else:
         assume(abs(slack) > 1e-6)
         assert tlm_check(ct).passed == (slack > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Tripartite contexts: the zeta bound and the four intervals use one rule
+# ---------------------------------------------------------------------------
+
+CONTEXTS = st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(seed=SEEDS, scale=st.sampled_from([0.5, 0.8, 1.0]), ctx1=CONTEXTS, ctx2=CONTEXTS)
+def test_zeta_pass_leaves_no_compared_context_infeasible(seed, scale, ctx1, ctx2):
+    """With rho_bc = 0 the zeta blocks are the tripartite contexts, so the verdicts agree."""
+    rng = np.random.default_rng(seed)
+    tct = TripartiteCorrelatorTable(
+        pearson_ab=rng.uniform(-scale, scale, (2, 2)),
+        pearson_ac=rng.uniform(-scale, scale, (2, 2)),
+        pearson_bc=np.zeros((2, 2)),
+    )
+    passed = zeta_bound_check(tct, ctx1, ctx2)["pass"]
+    if passed:
+        infeasible = tripartite_r_intervals(tct).infeasible_contexts
+        assert f"j={ctx1[0]},k={ctx1[1]}" not in infeasible
+        assert f"j={ctx2[0]},k={ctx2[1]}" not in infeasible
+    assert passed == tripartite_r_intervals(tct, (ctx1, ctx2)).feasible

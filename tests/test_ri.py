@@ -7,6 +7,7 @@ import pytest
 from conftest import tangent_pearson
 from oracles import (
     epsilon_four_signs,
+    pr_box_demo_oracle,
     ri_condition_matrix,
     ri_pair_matrix,
     tripartite_condition_matrix,
@@ -463,3 +464,15 @@ class TestClassifyAndDemo:
             assert ctx["psd_at_required"] is True or ctx["psd_at_required"] == True
             assert not ctx["psd_at_zero"]
         assert not rep["common_r_exists"]
+
+    def test_demo_booleans_match_brute_force_psd(self):
+        rep, oracle = pr_box_demo(), pr_box_demo_oracle()
+        assert rep["ab_forced_zero_verified"] is oracle["ab_forced_zero_verified"] is True
+        assert rep["common_r_exists"] is oracle["common_r_exists"] is False
+        assert set(rep["contexts"]) == set(oracle["contexts"])
+        for label, expected in oracle["contexts"].items():
+            got = rep["contexts"][label]
+            assert (got["psd_at_required"], got["psd_at_zero"]) == (
+                expected["psd_at_required"], expected["psd_at_zero"]
+            )
+            assert got["r_required"] == got["signaling_product_a0a1"] == (-1.0) ** int(label[-1])
