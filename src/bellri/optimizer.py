@@ -17,17 +17,19 @@ with ``ObjectiveError`` naming its parameters.
 The optimizer is a Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308,
 1965) with deterministic multistart: restart r starts from a generator seeded
 with seed + r, and each converged simplex is rebuilt twice around its best
-vertex at a smaller scale. Each simplex is a generator that yields points and
-receives their values, so all restarts (and eta targets) run in lockstep, one
-map call per step; each restart's result equals that restart run alone, and
-ties between restarts go to the lowest index.
+vertex at a smaller scale. All restarts (and eta targets) run in lockstep: a
+simplex is a generator that keeps its control flow and budget and yields
+requests to ``_lockstep``, whose steps sort every simplex, build every new
+point and score every pending row at once (one map call, one call per
+objective). Each restart's result equals that restart run alone, and ties
+between restarts go to the lowest index.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,6 +124,9 @@ class OptConfig:
     init_step: float = 0.6
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_evals", "seed", "refine_stages"):
+            if type(getattr(self, name)) is not int:            # bool and float too
+                raise MalformedInputError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.restarts < 1 or self.max_evals < N_PARAMS + 2 or min(self.refine_stages, self.seed) < 0:
             raise MalformedInputError("config values must be positive and sane")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -247,75 +252,109 @@ class _Evaluator:
         self.count = self.degenerate_hits = 0
         self.maximum = -math.inf
 
-    def score(self, x: np.ndarray, mom: QuantumMoments, degenerate: np.ndarray) -> np.ndarray:
-        """Objective values of the rows x, whose moments are mom."""
-        vals = np.where(degenerate, DEGENERATE_PENALTY, self.objective(mom))
-        finite = np.isfinite(vals)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise ObjectiveError(
-                f"objective returned {float(vals[i])!r} at parameters {x[i].tolist()}")
-        self.count += len(vals)
-        self.degenerate_hits += int(np.count_nonzero(degenerate))
-        self.maximum = max(self.maximum, float(vals.max()))
-        return vals
+
+def _score(x: np.ndarray, groups: dict) -> np.ndarray:
+    """Objective values of the rows x, evaluator ev scoring rows lo:hi for groups[ev] = [lo, hi]."""
+    mom, degenerate = _two_qubit_moments(x)
+    vals = np.empty(len(x))
+    for ev, (lo, hi) in groups.items():
+        out = ev.objective(mom)
+        vals[lo:hi] = out[lo:hi] if np.ndim(out) else out
+    vals[degenerate] = DEGENERATE_PENALTY
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ObjectiveError(f"objective returned {float(vals[i])!r} at parameters {x[i].tolist()}")
+    for ev, (lo, hi) in groups.items():
+        ev.count += hi - lo
+        ev.degenerate_hits += int(np.count_nonzero(degenerate[lo:hi]))
+        ev.maximum = max(ev.maximum, float(vals[lo:hi].max()))
+    return vals
 
 
-def _lockstep(jobs) -> list:
-    """Run (evaluator, search) jobs in lockstep and return each search's result.
+# Requests for one point, answered with (value, point): reflect the worst vertex
+# through the centroid of the others, expand twice as far (a search asks right
+# after the reflection, so it is rebuilt from the same simplex), contract halfway.
+_XR, _XE, _XC = "reflect", "expand", "contract"
 
-    A search yields blocks of points and receives their values to minimize. Each
-    step maps all blocks in one call and scores each evaluator's (adjacent) rows
-    in one objective call.
+
+def _lockstep(jobs, tol: float) -> list:
+    """Run (evaluator, search) jobs, each evaluator's adjacent, and return each search's result.
+
+    ``search(pts, vals)`` starts a generator on its job's rows of one (J, 15,
+    14) vertex array and (J, 15) value array (to minimize), edited in place. It
+    yields a slice of its rows, answered with their values, or ``_XR``/``_XE``/
+    ``_XC``, answered with (value, point), or with None at ``_XR`` when its value
+    spread is below tol. Each step sorts every simplex, builds every point, maps
+    all rows in one call and runs each objective once on the whole record.
     """
-    results = [None] * len(jobs)
-    live = [(i, ev, gen, next(gen)) for i, (ev, gen) in enumerate(jobs)]
+    J, n = len(jobs), N_PARAMS
+    rows = np.zeros((J * (n + 2), n))       # each job's new point, then every vertex
+    pts, vertices = rows[:J], rows[J:]
+    P, V = vertices.reshape(J, n + 1, n), np.full((J, n + 1), math.inf)
+    results, first = [None] * J, np.arange(0, J * (n + 1), n + 1)[:, None]
+    live = [(j, ev, gen, next(gen)) for j, (ev, search) in enumerate(jobs)
+            for gen in [search(P[j], V[j])]]
     while live:
-        x = np.concatenate([job[3] for job in live])
-        mom, degenerate = _two_qubit_moments(x)
-        values, lo = [], 0
-        for ev, group in itertools.groupby(live, key=lambda job: job[1]):
-            rows = slice(lo, lo + sum(len(job[3]) for job in group))
-            part = mom if rows.stop - lo == len(x) else QuantumMoments(
-                *(getattr(mom, fld.name)[rows] for fld in fields(mom)))
-            values += (-ev.score(x[rows], part, degenerate[rows])).tolist()
-            lo = rows.stop
-        stepped, lo = [], 0
-        for i, ev, gen, block in live:
+        order = V.argsort(axis=1, kind="stable") + first
+        V[:], P[:] = V.take(order), vertices.take(order, axis=0)
+        ends = V[:, ::n].tolist()           # (best, worst) value per job
+        centroid = np.add.reduce(P[:, :-1], axis=1) / n
+        take, plan, groups, points = [], [], {}, {_XR: [], _XE: [], _XC: []}
+        for j, ev, gen, req in live:
+            lo = len(take)
+            if req is _XR and ends[j][1] - ends[j][0] < tol:
+                plan.append((j, ev, gen, req, None))
+                continue
+            if req.__class__ is slice:
+                take += range(J + (n + 1) * j + req.start, J + (n + 1) * j + req.stop)
+            else:
+                take.append(j)
+                points[req].append(j)
+            groups.setdefault(ev, [lo, 0])[1] = len(take)
+            plan.append((j, ev, gen, req, lo))
+        np.add(centroid, centroid - P[:, -1], out=pts)
+        pts[points[_XE]] = (centroid + 2.0 * (pts - centroid))[points[_XE]]
+        pts[points[_XC]] = (centroid + 0.5 * (P[:, -1] - centroid))[points[_XC]]
+        if take:
+            x = rows.take(take, axis=0)
+            values = -_score(x, groups)
+            floats = values.tolist()
+        live = []
+        for j, ev, gen, req, lo in plan:
+            if lo is None:
+                answer = None
+            elif req.__class__ is slice:
+                answer = values[lo:lo + req.stop - req.start]
+            else:
+                answer = (floats[lo], x[lo])
             try:
-                stepped.append((i, ev, gen, gen.send(values[lo:lo + len(block)])))
+                live.append((j, ev, gen, gen.send(answer)))
             except StopIteration as done:
-                results[i] = done.value
-            lo += len(block)
-        live = stepped
+                results[j] = done.value
     return results
 
 
-def _nelder_mead(x0: np.ndarray, step: float, tol: float, budget: int):
-    """Classic simplex descent; returns (best point, value, budget left).
+def _nelder_mead(x0: np.ndarray, step: float, budget: int, pts: np.ndarray, vals: np.ndarray):
+    """Classic simplex descent on its rows pts, vals; returns (best point, value, budget left).
 
-    Yields blocks of points and receives their values: the initial simplex and
-    a shrink are one block each, a reflection, expansion or contraction one row.
+    Yields the initial simplex and a shrink as slices of its rows, and a
+    reflection, expansion or contraction as one ``_lockstep`` request.
     """
     n = x0.size
-    pts = x0 + np.vstack([np.zeros(n), step * np.eye(n)])
-    vals = np.full(n + 1, math.inf)
+    pts[:] = x0 + np.vstack([np.zeros(n), step * np.eye(n)])
+    vals[:] = math.inf
     k = min(n + 1, budget)
     budget -= k
-    vals[:k] = yield pts[:k]
+    vals[:k] = yield slice(0, k)
     while budget > 0:
-        order = vals.argsort(kind="stable")
-        pts, vals = pts.take(order, axis=0), vals.take(order)
-        if vals[-1] - vals[0] < tol:
+        if (reflected := (yield _XR)) is None:      # answered on the sorted simplex
             break
-        centroid = pts[:-1].sum(axis=0) / n
-        xr = centroid + (centroid - pts[-1])
+        fr, xr = reflected
         budget -= 1
-        (fr,) = yield xr[None]
         if fr < vals[0] and budget > 0:
-            xe = centroid + 2.0 * (xr - centroid)
             budget -= 1
-            (fe,) = yield xe[None]
+            fe, xe = yield _XE
             if fe < fr:
                 xr, fr = xe, fe
         if fr < vals[-2]:                   # also every new best point
@@ -323,27 +362,26 @@ def _nelder_mead(x0: np.ndarray, step: float, tol: float, budget: int):
         elif budget <= 0:
             break
         else:
-            xc = centroid + 0.5 * (pts[-1] - centroid)
             budget -= 1
-            (fc,) = yield xc[None]
+            fc, xc = yield _XC
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             elif budget > 0:
                 k = min(n, budget)
                 pts[1:k + 1] = pts[0] + 0.5 * (pts[1:k + 1] - pts[0])
                 budget -= k
-                vals[1:k + 1] = yield pts[1:k + 1]
+                vals[1:k + 1] = yield slice(1, k + 1)
     best = int(np.argmin(vals))
-    return pts[best], float(vals[best]), budget
+    return pts[best].copy(), float(vals[best]), budget
 
 
-def _descend(x: np.ndarray, steps, config: OptConfig):
+def _descend(x: np.ndarray, steps, max_evals: int, pts: np.ndarray, vals: np.ndarray):
     """Chained simplex stages from x, each rebuilt around the last best point, on one budget."""
-    value, budget = math.inf, config.max_evals
+    value, budget = math.inf, max_evals
     for step in steps:
         if budget <= 0:
             break
-        x, value, budget = yield from _nelder_mead(x, step, config.tol, budget)
+        x, value, budget = yield from _nelder_mead(x, step, budget, pts, vals)
     return x, -value                        # the simplex minimizes -objective
 
 
@@ -352,7 +390,8 @@ def _restarts(evaluators, config: OptConfig) -> list[list[tuple[np.ndarray, floa
     starts = [np.random.default_rng(config.seed + r).uniform(-math.pi, math.pi, size=N_PARAMS)
               for r in range(config.restarts)]
     steps = [config.init_step * 0.05 ** s for s in range(config.refine_stages + 1)]
-    runs = _lockstep([(ev, _descend(x0, steps, config)) for ev in evaluators for x0 in starts])
+    runs = _lockstep([(ev, functools.partial(_descend, x0, steps, config.max_evals))
+                      for ev in evaluators for x0 in starts], config.tol)
     return [runs[k:k + config.restarts] for k in range(0, len(runs), config.restarts)]
 
 
@@ -415,8 +454,9 @@ def trace_eta_curve(
     for weight in (base_weight * 1e2, base_weight * 1e4):
         for ev, t in zip(evs, targets):
             ev.objective = eta_pinned_objective(t, weight)
-        xs = [x for x, _ in _lockstep([(ev, _descend(x, (0.03, 0.003), config))
-                                       for ev, x in zip(evs, xs)])]
+        xs = [x for x, _ in _lockstep([(ev, functools.partial(_descend, x, (0.03, 0.003),
+                                                              config.max_evals))
+                                       for ev, x in zip(evs, xs)], config.tol)]
     mom, _ = _two_qubit_moments(np.array(xs))
     achieved, chsh = np.abs(mom.eta_a), chsh_objective(mom)
     return [{"eta": t, "eta_achieved": float(a), "max_chsh": float(c),

@@ -184,7 +184,8 @@ class TestGolden:
     when the case was added; regenerate it only for an intended output change.
     The five table verbs share one input per table, ``<table>.json``, and
     print ``<verb>_<table>.stdout``; each table has one exit code for all five.
-    ``pr_demo.stdout`` is what ``pr-demo``, which reads no input, printed.
+    ``pr_demo.stdout`` is what ``pr-demo``, which reads no input, printed;
+    ``optimize.stdout`` and ``eta_curve.stdout`` pin the seeded searches.
     """
 
     @pytest.mark.parametrize(
@@ -208,6 +209,21 @@ class TestGolden:
         assert code == 0
         assert captured.err == ""
         assert captured.out == (GOLDEN / "pr_demo.stdout").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, case",
+        [
+            (["optimize", "--restarts", "3", "--max-evals", "400", "--seed", "5"], "optimize"),
+            (["eta-curve", "--restarts", "2", "--max-evals", "300", "--etas", "0.3,0.8",
+              "--seed", "2"], "eta_curve"),
+        ],
+    )
+    def test_search_stdout_byte_identical(self, capsys, argv, case):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("table, exit_code", [("tangent", 0), ("pr_box", 1), ("tsirelson", 0)])
     @pytest.mark.parametrize("verb", ["classify", "ri-intervals", "epsilon", "tlm-check", "geometry"])

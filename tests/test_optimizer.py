@@ -13,6 +13,9 @@ from bellri.errors import DegenerateScenarioError, MalformedInputError
 from bellri.optimizer import (
     DEGENERATE_PENALTY,
     N_PARAMS,
+    _XC,
+    _XE,
+    _XR,
     ObjectiveError,
     OptConfig,
     ScenarioParams,
@@ -27,6 +30,7 @@ from bellri.optimizer import (
 from bellri.qmodel import moments
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+TOL = OptConfig().tol
 FIELDS = ("mean_a", "mean_b", "var_a", "var_b", "cov", "pearson",
           "eta_a", "eta_b", "nu_a", "nu_b", "r_q_a", "r_q_b")
 
@@ -127,6 +131,13 @@ class TestMaximize:
             with pytest.raises(MalformedInputError):
                 OptConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["restarts", "max_evals", "seed", "refine_stages"])
+    @pytest.mark.parametrize("value", [2.5, 400.5, 3.0, True, False, "3", None])
+    def test_non_int_counts_rejected(self, name, value):
+        # a float would truncate or overrun the budget, a bool would count as 0 or 1
+        with pytest.raises(MalformedInputError, match=name):
+            OptConfig(**{name: value})
+
     def test_reproducible(self):
         cfg = OptConfig(restarts=3, max_evals=400, seed=7)
         r1 = maximize(chsh_objective, cfg)
@@ -178,7 +189,7 @@ class TestMaximize:
 
 
 class TestLockstep:
-    """The batched map, the mask and the driver's per-row accounting."""
+    """The batched map, the mask, and ``_lockstep``'s requests and per-row accounting."""
 
     def test_degenerate_row_masked_alone(self):
         rng = np.random.default_rng(8)
@@ -196,26 +207,92 @@ class TestLockstep:
         block = np.vstack([rng.uniform(-3, 3, N_PARAMS), np.zeros(N_PARAMS)])
         received = []
 
-        def search():
-            received.append((yield block))
+        def search(pts, vals):
+            pts[:2] = block
+            received.append((yield slice(0, 2)))
 
         ev = _Evaluator(lambda mom: np.full(len(mom.eta_a), np.nan))
         with pytest.raises(ObjectiveError):
-            _lockstep([(ev, search())])
+            _lockstep([(ev, search)], TOL)
         # the masked row scores the penalty whatever the objective says there
         ev = _Evaluator(chsh_objective)
-        _lockstep([(ev, search())])
+        _lockstep([(ev, search)], TOL)
         assert received[-1][1] == -DEGENERATE_PENALTY
         assert (ev.count, ev.degenerate_hits) == (2, 1)
         assert ev.maximum == chsh_objective(_two_qubit_moments(block[:1])[0])[0]
 
     def test_nan_row_names_its_parameters(self):
         xs = np.random.default_rng(10).uniform(-3, 3, size=(4, N_PARAMS))
-        mom, degenerate = _two_qubit_moments(xs)
-        ev = _Evaluator(lambda m: np.where(np.arange(4) == 2, np.nan, 1.0))
+
+        def search(pts, vals):
+            pts[:4] = xs
+            yield slice(0, 4)
+
+        # rows 2 and 3 are NaN: the first is named, and nothing is charged
+        ev = _Evaluator(lambda m: np.where(np.arange(4) >= 2, np.nan, 1.0))
         with pytest.raises(ObjectiveError, match=re.escape(str(xs[2].tolist()))):
-            ev.score(xs, mom, degenerate)
-        assert ev.count == 0
+            _lockstep([(ev, search)], TOL)
+        assert (ev.count, ev.degenerate_hits, ev.maximum) == (0, 0, -math.inf)
+
+    def test_sort_leaves_sorted_simplex_untouched(self):
+        # point requests on a sorted simplex, with tied values: _lockstep's
+        # stable sort changes no bit, and each point is the classic expression
+        start = np.random.default_rng(11).uniform(-3, 3, size=(N_PARAMS + 1, N_PARAMS))
+        seen = []
+
+        def search(pts, vals):
+            pts[:] = start
+            vals[:] = yield slice(0, N_PARAMS + 1)
+            order = vals.argsort(kind="stable")
+            pts[:], vals[:] = pts[order], vals[order]
+            before = pts.copy(), vals.copy()
+            centroid = pts[:-1].sum(axis=0) / N_PARAMS
+            _, xr = yield _XR
+            _, xe = yield _XE
+            _, xc = yield _XC
+            for point, expected in ((xr, centroid + (centroid - pts[-1])),
+                                    (xe, centroid + 2.0 * (xr - centroid)),
+                                    (xc, centroid + 0.5 * (pts[-1] - centroid))):
+                seen.append(point.tobytes() == expected.tobytes())
+            seen.append(pts.tobytes() == before[0].tobytes())
+            seen.append(vals.tobytes() == before[1].tobytes())
+
+        ev = _Evaluator(lambda mom: np.floor(4.0 * mom.eta_a))
+        _lockstep([(ev, search)], 0.0)
+        assert seen == [True] * 5
+        assert ev.count == N_PARAMS + 4
+
+    def test_converged_simplex_ends_without_evaluation(self):
+        answers = []
+
+        def search(pts, vals):
+            pts[:] = np.random.default_rng(12).uniform(-3, 3, size=(N_PARAMS + 1, N_PARAMS))
+            vals[:] = yield slice(0, N_PARAMS + 1)
+            answers.append((yield _XR))
+
+        ev = _Evaluator(lambda mom: 1.5)
+        _lockstep([(ev, search)], TOL)
+        assert answers == [None]
+        assert ev.count == N_PARAMS + 1
+
+    @pytest.mark.parametrize("constants", [(3.25,), (3.25, -1.5)], ids=["one", "two"])
+    def test_scalar_objective_scores_every_row(self, constants):
+        # a scalar broadcasts to every row of its evaluator, the masked row aside
+        xs = np.random.default_rng(13).uniform(-3, 3, size=(5, N_PARAMS))
+        xs[1] = 0.0
+        received = {}
+
+        def job(k):
+            def search(pts, vals):
+                pts[:3 + k] = xs[:3 + k]
+                received[k] = (yield slice(0, 3 + k)).tolist()
+            return search
+
+        evs = [_Evaluator(lambda mom, c=c: c) for c in constants]
+        _lockstep([(ev, job(k)) for k, ev in enumerate(evs)], TOL)
+        for k, (c, ev) in enumerate(zip(constants, evs)):
+            assert received[k] == [-c, -DEGENERATE_PENALTY] + [-c] * (1 + k)
+            assert (ev.count, ev.degenerate_hits, ev.maximum) == (3 + k, 1, c)
 
     def test_default_degenerate_hits(self):
         res = maximize(chsh_objective, OptConfig(restarts=1, max_evals=64, seed=0))
