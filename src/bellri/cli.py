@@ -64,7 +64,16 @@ def _require(payload: dict, key: str):
 
 def _holds_bool(obj) -> bool:
     """Whether a decoded JSON value is, or nests, true or false."""
-    return isinstance(obj, bool) or (isinstance(obj, list) and any(map(_holds_bool, obj)))
+    level = [obj]
+    while level:                        # one nesting level at a time
+        inner = []
+        for x in level:
+            if type(x) is list:
+                inner += x
+            elif type(x) is bool:
+                return True
+        level = inner
+    return False
 
 
 def _float(payload: dict, key: str) -> float:
@@ -115,10 +124,11 @@ def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityT
         return correlators_of(LhvEnsemble(weights)), None
     if "pearson" in payload:
         pe = _float_array(payload["pearson"])
-        ct = CorrelatorTable.from_pearson(
-            pe, variances=payload.get("variances"), means=payload.get("means")
-        )
-        return ct, None
+        variances, means = payload.get("variances"), payload.get("means")
+        for key, obj in (("variances", variances), ("means", means)):
+            if isinstance(obj, dict) and _holds_bool([obj.get("a"), obj.get("b")]):
+                raise MalformedInputError(f"{key}: expected numbers, got a JSON boolean")
+        return CorrelatorTable.from_pearson(pe, variances=variances, means=means), None
     raise MalformedInputError(
         "bipartite input needs 'probabilities', 'pearson', 'ensemble', or name 'pr-box'"
     )
@@ -204,10 +214,7 @@ def _cmd_tlm_check(args) -> tuple[dict, int]:
     res = ri.tlm_check(ct, tol=args.tol)
     out = {
         "pass": res.passed,
-        "rows": [
-            {"lhs": res.lhs[0], "rhs": res.rhs[0], "slack": res.slack[0]},
-            {"lhs": res.lhs[1], "rhs": res.rhs[1], "slack": res.slack[1]},
-        ],
+        "rows": [dict(lhs=x, rhs=y, slack=z) for x, y, z in zip(res.lhs, res.rhs, res.slack)],
         "chsh": chsh(ct),
     }
     return out, 0 if res.passed else 1

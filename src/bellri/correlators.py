@@ -13,6 +13,7 @@ uncertainty parameter is assessed independently of the no-signaling condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,37 +34,27 @@ __all__ = [
 ]
 
 _VAR_FLOOR = 1e-12
+_PEARSON_MAX = 1.0 + 1e-9     # |rho| above this is out of range, not rounding
 
-# the eight facet sign patterns (one odd entry), indexed like pearson[i][j]
-CHSH_SIGNS = tuple(
-    np.array(s, dtype=float).reshape(2, 2)
-    for s in (
-        [[+1, +1], [+1, -1]],
-        [[+1, +1], [-1, +1]],
-        [[+1, -1], [+1, +1]],
-        [[-1, +1], [+1, +1]],
-        [[-1, -1], [-1, +1]],
-        [[-1, -1], [+1, -1]],
-        [[-1, +1], [-1, -1]],
-        [[+1, -1], [-1, -1]],
-    )
-)
+# the eight facet sign patterns, indexed like pearson[i][j]: one odd -1 entry at
+# (1, 1), (1, 0), (0, 1), (0, 0), then those four negated
+_ODD_SIGNS = tuple(np.where(np.arange(4).reshape(2, 2) == k, -1.0, 1.0) for k in (3, 2, 1, 0))
+CHSH_SIGNS = _ODD_SIGNS + tuple(-s for s in _ODD_SIGNS)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64).copy()
+def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-def _per_party(obj, what: str, default: float) -> tuple[np.ndarray, np.ndarray]:
+def _per_party(obj, what: str, default: tuple) -> tuple:
     """Alice's and Bob's vectors from an optional {"a": [..], "b": [..]} object."""
     if obj is None:
-        return np.full(2, default), np.full(2, default)
+        return default, default
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{what} must be an object with keys 'a' and 'b'")
     try:
-        return tuple(np.asarray(obj.get(p, [default, default]), float) for p in "ab")
+        return tuple(np.asarray(obj.get(p, default), float) for p in "ab")
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"{what}: {exc}") from exc
 
@@ -77,27 +68,27 @@ class ProbabilityTable:
     p: np.ndarray                     # (2, 2, na, nb), each p[i, j] sums to 1
 
     def __post_init__(self) -> None:
-        oa = np.asarray(self.outcomes_a, dtype=np.float64)
-        ob = np.asarray(self.outcomes_b, dtype=np.float64)
-        pr = np.asarray(self.p, dtype=np.float64)
+        oa = np.array(self.outcomes_a, dtype=np.float64)
+        ob = np.array(self.outcomes_b, dtype=np.float64)
+        pr = np.array(self.p, dtype=np.float64)
         if oa.ndim != 1 or ob.ndim != 1 or oa.size == 0 or ob.size == 0:
             raise MalformedInputError("outcome lists must be non-empty 1-d arrays")
-        if not (np.all(np.isfinite(oa)) and np.all(np.isfinite(ob))):
+        if not all(map(math.isfinite, oa.tolist() + ob.tolist())):
             raise MalformedInputError("outcome values must be finite")
         if pr.shape != (2, 2, oa.size, ob.size):
             raise MalformedInputError(
                 f"p must have shape (2, 2, {oa.size}, {ob.size}), got {pr.shape}"
             )
-        if not np.all(np.isfinite(pr)) or np.any(pr < -1e-15):
+        if not all(-1e-15 <= x < math.inf for x in pr.ravel().tolist()):     # NaN fails
             raise MalformedInputError("probabilities must be finite and nonnegative")
         sums = pr.sum(axis=(2, 3))
-        if np.abs(sums - 1.0).max() > 1e-12:
+        if any(abs(x - 1.0) > 1e-12 for x in sums.ravel().tolist()):
             raise MalformedInputError(
                 f"each setting pair must be normalized to 1 within 1e-12, sums={sums.tolist()}"
             )
-        object.__setattr__(self, "outcomes_a", _freeze(oa))
-        object.__setattr__(self, "outcomes_b", _freeze(ob))
-        object.__setattr__(self, "p", _freeze(pr))
+        object.__setattr__(self, "outcomes_a", _readonly(oa))
+        object.__setattr__(self, "outcomes_b", _readonly(ob))
+        object.__setattr__(self, "p", _readonly(pr))
 
 
 @dataclass(frozen=True)
@@ -105,7 +96,11 @@ class CorrelatorTable:
     """Means, variances, covariances and Pearson coefficients for 2x2 settings.
 
     Pearson entries where either standard deviation vanishes are NaN with the
-    matching ``pearson_defined`` entry False.
+    matching ``pearson_defined`` entry False. Construction converts each field
+    once and checks each rule once, in field order, on Python floats; where
+    Pearson is defined, the raw correlator cov + mean_a mean_b must be finite.
+    Every array is a read-only copy, so a table never changes: ``ri`` keeps its
+    r' sides on it after the first verdict.
     """
 
     means_a: np.ndarray               # (2,)
@@ -118,28 +113,29 @@ class CorrelatorTable:
     signaling_in_variance: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("means_a", "means_b", "var_a", "var_b"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != (2,) or not np.all(np.isfinite(v)):
+        names = ("means_a", "means_b", "var_a", "var_b", "cov", "pearson")
+        fields = [np.array(getattr(self, name), dtype=np.float64) for name in names]
+        ma, mb, va, vb, cov, pe = (a.tolist() for a in fields)
+        for name, v, x in zip(names, fields, (ma, mb, va, vb)):
+            if v.shape != (2,) or not all(map(math.isfinite, x)):
                 raise MalformedInputError(f"{name} must be a finite length-2 vector")
-            object.__setattr__(self, name, _freeze(v))
-        if np.any(self.var_a < 0) or np.any(self.var_b < 0):
+        if min(va + vb) < 0.0:
             raise MalformedInputError("variances must be nonnegative")
-        cov = np.asarray(self.cov, dtype=np.float64)
-        pe = np.asarray(self.pearson, dtype=np.float64)
-        if cov.shape != (2, 2) or pe.shape != (2, 2):
+        if fields[4].shape != (2, 2) or fields[5].shape != (2, 2):
             raise MalformedInputError("cov and pearson must be 2x2")
         if self.pearson_defined is None:
-            defined = np.isfinite(pe)
+            defined = np.isfinite(fields[5])
         else:
-            defined = np.asarray(self.pearson_defined, dtype=bool)
-        if np.any(np.abs(pe[defined]) > 1.0 + 1e-9):
+            defined = np.array(self.pearson_defined, dtype=bool)
+        d = defined.tolist()
+        kept = [(i, j) for i in (0, 1) for j in (0, 1) if d[i][j]]
+        if any(abs(pe[i][j]) > _PEARSON_MAX for i, j in kept):
             raise MalformedInputError("defined Pearson entries must lie in [-1, 1]")
-        object.__setattr__(self, "cov", _freeze(cov))
-        object.__setattr__(self, "pearson", _freeze(pe))
-        d = defined.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "pearson_defined", d)
+        if not all(math.isfinite(cov[i][j] + ma[i] * mb[j]) for i, j in kept):     # overflow gives inf
+            raise MalformedInputError("cov + mean_a * mean_b must be finite where pearson is defined")
+        for name, a in zip(names, fields):
+            object.__setattr__(self, name, _readonly(a))
+        object.__setattr__(self, "pearson_defined", _readonly(defined))
 
     @property
     def all_defined(self) -> bool:
@@ -157,17 +153,14 @@ class CorrelatorTable:
         pe = np.asarray(pearson, dtype=np.float64)
         if pe.shape != (2, 2):
             raise MalformedInputError(f"pearson must be 2x2, got shape {pe.shape}")
-        var_a, var_b = _per_party(variances, "variances", 1.0)
-        mean_a, mean_b = _per_party(means, "means", 0.0)
-        sig = np.sqrt(np.outer(var_a, var_b))
-        return cls(
-            means_a=mean_a,
-            means_b=mean_b,
-            var_a=var_a,
-            var_b=var_b,
-            cov=pe * sig,
-            pearson=pe,
-        )
+        var_a, var_b = _per_party(variances, "variances", (1.0, 1.0))
+        mean_a, mean_b = _per_party(means, "means", (0.0, 0.0))
+        cov = pe
+        if variances is not None and var_a.shape == var_b.shape == (2,):
+            # other shapes, negative variances and overflow are the table's to reject
+            with np.errstate(over="ignore", invalid="ignore"):
+                cov = pe * np.sqrt(np.outer(var_a, var_b))
+        return cls(means_a=mean_a, means_b=mean_b, var_a=var_a, var_b=var_b, cov=cov, pearson=pe)
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,18 +187,19 @@ class TripartiteCorrelatorTable:
 
     def __post_init__(self) -> None:
         for name in ("pearson_ab", "pearson_ac", "pearson_bc"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
-            if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+            m = np.array(getattr(self, name), dtype=np.float64)
+            x = m.ravel().tolist()
+            if m.shape != (2, 2) or not all(map(math.isfinite, x)):
                 raise MalformedInputError(f"{name} must be a finite 2x2 block")
-            if np.abs(m).max() > 1.0 + 1e-9:
+            if max(map(abs, x)) > _PEARSON_MAX:
                 raise MalformedInputError(f"{name} entries must lie in [-1, 1]")
-            object.__setattr__(self, name, _freeze(m))
+            object.__setattr__(self, name, _readonly(m))
         for name in ("var_a", "var_b", "var_c"):
             v = getattr(self, name)
-            v = np.ones(2) if v is None else np.asarray(v, dtype=np.float64)
-            if v.shape != (2,) or np.any(v < 0) or not np.all(np.isfinite(v)):
+            v = np.array((1.0, 1.0) if v is None else v, dtype=np.float64)
+            if v.shape != (2,) or not all(0.0 <= x < math.inf for x in v.tolist()):     # NaN fails
                 raise MalformedInputError(f"{name} must be a nonnegative length-2 vector")
-            object.__setattr__(self, name, _freeze(v))
+            object.__setattr__(self, name, _readonly(v))
 
 
 def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +227,13 @@ def from_probability_table(pt: ProbabilityTable, *, signaling_tol: float = 1e-9)
     e_ab = np.einsum("ijab,a,b->ij", p, oa, ob)
     cov = e_ab - mean_a_ctx * mean_b_ctx
 
-    scale_a = max(1.0, float(np.abs(oa).max()) ** 2)
-    scale_b = max(1.0, float(np.abs(ob).max()) ** 2)
+    scale_a = max(1.0, max(map(abs, oa.tolist())) ** 2)
+    scale_b = max(1.0, max(map(abs, ob.tolist())) ** 2)
     pearson, defined = _pearson(cov, var_a_ctx, var_b_ctx, _VAR_FLOOR * scale_a, _VAR_FLOOR * scale_b)
 
-    sig_var = bool(
-        np.abs(var_a_ctx[:, 0] - var_a_ctx[:, 1]).max() > signaling_tol
-        or np.abs(var_b_ctx[0, :] - var_b_ctx[1, :]).max() > signaling_tol
-    )
+    # Alice's variance across Bob's settings (rows), Bob's across Alice's (columns)
+    va, vb = var_a_ctx.tolist(), var_b_ctx.tolist()
+    sig_var = any(abs(x - y) > signaling_tol for x, y in (*va, *zip(*vb)))
     return CorrelatorTable(
         means_a=mean_a_ctx.mean(axis=1),
         means_b=mean_b_ctx.mean(axis=0),
@@ -269,9 +262,15 @@ def chsh_raw(ct: CorrelatorTable) -> float:
 
 
 def chsh_max(entries: np.ndarray) -> float:
-    """Largest magnitude over the eight CHSH facet sign patterns."""
-    entries = np.asarray(entries, dtype=np.float64)
-    return float(max(abs(float((s * entries).sum())) for s in CHSH_SIGNS))
+    """Largest magnitude over the eight CHSH facet sign patterns.
+
+    The eight values are four sums, one per sign pattern of the first four
+    ``CHSH_SIGNS``, and their negations. Each sum adds in the row-major order
+    ``(s * entries).sum()`` uses, so every value is bit-identical to that one.
+    """
+    (e00, e01), (e10, e11) = np.asarray(entries, dtype=np.float64).tolist()
+    return max(abs(e00 + e01 + e10 - e11), abs(e00 + e01 - e10 + e11),
+               abs(e00 - e01 + e10 + e11), abs(-e00 + e01 + e10 + e11))
 
 
 def check_no_signaling(pt: ProbabilityTable, tol: float = 1e-9) -> dict:
@@ -280,43 +279,27 @@ def check_no_signaling(pt: ProbabilityTable, tol: float = 1e-9) -> dict:
     Returns a report with the maximum marginal discrepancy per party and the
     location of the worst violation; passes iff both maxima are <= tol.
     """
-    pa = pt.p.sum(axis=3)                      # (2, 2, na): marginal of A per (i, j)
-    pb = pt.p.sum(axis=2)                      # (2, 2, nb)
-    diff_a = np.abs(pa[:, 0, :] - pa[:, 1, :])   # A's marginal vs Bob's setting
-    diff_b = np.abs(pb[0, :, :] - pb[1, :, :])   # B's marginal vs Alice's setting
-    max_a = float(diff_a.max())
-    max_b = float(diff_b.max())
-    report = {
-        "pass": bool(max_a <= tol and max_b <= tol),
-        "max_discrepancy_alice": max_a,
-        "max_discrepancy_bob": max_b,
-    }
-    if max_a > tol:
-        i, a = np.unravel_index(int(diff_a.argmax()), diff_a.shape)
-        report["worst_alice"] = {
-            "setting": int(i),
-            "outcome": float(pt.outcomes_a[a]),
-            "marginals": [float(pa[i, 0, a]), float(pa[i, 1, a])],
-        }
-    if max_b > tol:
-        j, b = np.unravel_index(int(diff_b.argmax()), diff_b.shape)
-        report["worst_bob"] = {
-            "setting": int(j),
-            "outcome": float(pt.outcomes_b[b]),
-            "marginals": [float(pb[0, j, b]), float(pb[1, j, b])],
-        }
-    return report
+    report, worst = {"pass": True}, {}
+    # each party's marginal indexed [own setting, remote setting, outcome]
+    for party, marg, outcomes in (("alice", pt.p.sum(axis=3), pt.outcomes_a),
+                                  ("bob", pt.p.sum(axis=2).transpose(1, 0, 2), pt.outcomes_b)):
+        diff = np.abs(marg[:, 0] - marg[:, 1])
+        top = float(diff.max())
+        report["pass"] = report["pass"] and top <= tol
+        report[f"max_discrepancy_{party}"] = top
+        if top > tol:
+            setting, k = np.unravel_index(int(diff.argmax()), diff.shape)
+            worst[f"worst_{party}"] = {
+                "setting": int(setting),
+                "outcome": float(outcomes[k]),
+                "marginals": [float(marg[setting, 0, k]), float(marg[setting, 1, k])],
+            }
+    return report | worst
 
 
 def pr_box_table() -> ProbabilityTable:
     """Joint table with <A_i B_j> = (-1)^(i*j), uniform +-1 marginals."""
     outcomes = np.array([-1.0, 1.0])
-    p = np.zeros((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            target = (-1.0) ** (i * j)
-            for a in range(2):
-                for b in range(2):
-                    if outcomes[a] * outcomes[b] == target:
-                        p[i, j, a, b] = 0.5
+    target = np.array([[1.0, 1.0], [1.0, -1.0]])          # (-1)^(i j)
+    p = np.where(np.multiply.outer(target, np.outer(outcomes, outcomes)) == 1.0, 0.5, 0.0)
     return ProbabilityTable(outcomes_a=outcomes, outcomes_b=outcomes, p=p)

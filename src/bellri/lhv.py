@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import _VAR_FLOOR, CHSH_SIGNS, CorrelatorTable, _pearson
+from .correlators import _VAR_FLOOR, CorrelatorTable, _pearson, chsh_max
 from .errors import MalformedInputError
 
 __all__ = [
@@ -71,14 +71,13 @@ class LhvEnsemble:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
         if w.shape != (16,):
             raise MalformedInputError(f"weights must have length 16, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w < -1e-15):
             raise MalformedInputError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise MalformedInputError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -167,7 +166,7 @@ def is_local(e, tol: float = 1e-9) -> bool:
         raise MalformedInputError("correlator matrix must be a finite 2x2 array")
     if np.abs(e).max() > 1.0 + tol:
         raise MalformedInputError(f"correlators out of range [-1, 1]: {e.tolist()}")
-    return all(abs(float((s * e).sum())) <= 2.0 + tol for s in CHSH_SIGNS)
+    return chsh_max(e) <= 2.0 + tol
 
 
 def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: float = 1e-9) -> bool | None:
@@ -177,8 +176,8 @@ def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: flo
     """
     if no_signaling is not None and not no_signaling["pass"]:
         return None
-    e = ct.cov + np.outer(ct.means_a, ct.means_b)
-    ma, mb, rows = ct.means_a.tolist(), ct.means_b.tolist(), e.tolist()
+    ma, mb = ct.means_a.tolist(), ct.means_b.tolist()
+    rows = [[c + a * b for c, b in zip(crow, mb)] for crow, a in zip(ct.cov.tolist(), ma)]
     second = [v + m * m for v, m in zip(ct.var_a.tolist() + ct.var_b.tolist(), ma + mb)]
     weights = [
         1.0 + a * ma[i] + b * mb[j] + a * b * rows[i][j]
@@ -186,10 +185,9 @@ def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: flo
     ]
     if max(abs(m - 1.0) for m in second) > tol or min(weights) < -tol:
         return None
-    try:
-        return is_local(e, tol=tol)
-    except MalformedInputError:     # |E| beyond 1 + tol by rounding
+    if not all(abs(x) <= 1.0 + tol for row in rows for x in row):    # |E| beyond 1 + tol by rounding
         return None
+    return chsh_max(rows) <= 2.0 + tol
 
 
 def product_cov_matrix(ens: LhvEnsemble) -> np.ndarray:

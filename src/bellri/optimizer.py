@@ -436,11 +436,11 @@ def trace_eta_curve(
 ) -> list[dict]:
     """Constrained CHSH maxima along a grid of commutator-ratio targets.
 
-    Each point runs a penalty continuation: the base quadratic weight is
-    escalated (x100 per stage, three stages) until the realized |eta_A| sits
-    within ``pin_tol`` of the target, restarting the simplex from the
-    previous stage's optimum. Points that never pin are flagged infeasible
-    rather than reported as maxima. The targets run in lockstep, stage by
+    Each point runs a penalty continuation in three stages, each restarting
+    the simplex from the previous stage's optimum: a multistart at the base
+    quadratic weight, then that weight x100 and x10^4. Every stage always
+    runs; ``pin_tol`` only sets ``feasible``, whether the realized |eta_A|
+    ends within it of the target. The targets run in lockstep, stage by
     stage, and each point equals the point traced alone.
     """
     targets = [float(t) for t in eta_grid]

@@ -31,7 +31,7 @@ their contexts to the same rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .correlators import CorrelatorTable, TripartiteCorrelatorTable
@@ -122,27 +122,36 @@ def _pearson_contexts(rows) -> tuple[tuple, tuple]:
     return ((p00 * p10, d00, d10), (p01 * p11, d01, d11)), ((p00 * p01, d00, d01), (p10 * p11, d10, d11))
 
 
-def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, bool, float]:
-    """Alice's side (r' under Bob's j), Bob's side (r-bar' under Alice's i), feasible, epsilon.
+def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, tuple[RInterval, ...], bool, float]:
+    """Alice's side (r' under Bob's j), Bob's side (r-bar' under Alice's i), their four
+    intervals (Alice's two first), feasible, epsilon.
 
-    Feasible iff each side's signed gap is at most ``tol``. ``epsilon`` is 0.0
-    when feasible, else Alice's gap, or Bob's where Alice's intervals meet up to
-    rounding (a tangent table's gaps can differ in sign by ~1e-11): never 0 then.
+    The sides do not depend on ``tol``: the first request keeps them on the table,
+    whose arrays are read-only (one with undefined Pearson entries keeps nothing
+    and raises every time). Feasible iff each side's signed gap is at most ``tol``.
+    ``epsilon`` is 0.0 when feasible, else Alice's gap, or Bob's where Alice's
+    intervals meet up to rounding (a tangent table's gaps can differ in sign by
+    ~1e-11): never 0 then.
     """
-    ctx_a, ctx_b = _pearson_contexts(ct.require_defined().tolist())
-    a, b = _side(ctx_a, ("j=0", "j=1")), _side(ctx_b, ("i=0", "i=1"))
+    sides = ct.__dict__.get("_sides")
+    if sides is None:
+        ctx_a, ctx_b = _pearson_contexts(ct.require_defined().tolist())
+        a, b = _side(ctx_a, ("j=0", "j=1")), _side(ctx_b, ("i=0", "i=1"))
+        sides = a, b, a.intervals() + b.intervals()
+        object.__setattr__(ct, "_sides", sides)
+    a, b, intervals = sides
     feasible = a.gap <= tol and b.gap <= tol
-    return a, b, feasible, 0.0 if feasible else a.gap if a.gap > 0.0 else b.gap
+    return a, b, intervals, feasible, 0.0 if feasible else a.gap if a.gap > 0.0 else b.gap
 
 
 def r_interval_bipartite(ct: CorrelatorTable, j: int) -> RInterval:
     """Admissible r' for Alice when the remote side uses setting j."""
-    return _gaps(ct, DEFAULT_SLACK)[0].intervals()[j]
+    return _gaps(ct, DEFAULT_SLACK)[2][:2][j]
 
 
 def r_interval_swapped(ct: CorrelatorTable, i: int) -> RInterval:
     """Role-swapped interval: admissible r-bar' for Bob under Alice's setting i."""
-    return _gaps(ct, DEFAULT_SLACK)[1].intervals()[i]
+    return _gaps(ct, DEFAULT_SLACK)[2][2:][i]
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,7 @@ def tlm_check(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> TlmResult:
     Row 1:  |rho00 rho10 - rho01 rho11| <= sum_j h_j
     Row 2:  |rho00 rho01 - rho10 rho11| <= sum_i h_i  (roles swapped)
     """
-    a, b, feasible, _ = _gaps(ct, tol)
+    a, b, _, feasible, _ = _gaps(ct, tol)
     lhs = tuple(abs(side.c[0] - side.c[1]) for side in (a, b))
     return TlmResult(passed=feasible, lhs=lhs, rhs=tuple(side.h[0] + side.h[1] for side in (a, b)))
 
@@ -198,23 +207,21 @@ class Verdict:
         return out
 
 
+def _verdict(ct: CorrelatorTable, tol: float, local: bool | None, no_signaling: dict | None) -> Verdict:
+    a, b, intervals, feasible, epsilon = _gaps(ct, tol)
+    return Verdict(local=local, quantum_compatible=feasible, ri_feasible=feasible,
+                   witness_r=a.mid if feasible else None, witness_r_bar=b.mid if feasible else None,
+                   epsilon=epsilon, intervals=intervals, signaling_in_variance=ct.signaling_in_variance,
+                   no_signaling=no_signaling)
+
+
 def ri_feasible_bipartite(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> Verdict:
     """Existence of setting-independent uncertainty parameters for both parties.
 
     Feasible iff Alice's two intervals and Bob's two meet (signed gaps at most
     ``tol``). Witnesses are the midpoints of the meeting ends, a convention.
     """
-    a, b, feasible, epsilon = _gaps(ct, tol)
-    return Verdict(
-        local=None,
-        quantum_compatible=feasible,
-        ri_feasible=feasible,
-        witness_r=a.mid if feasible else None,
-        witness_r_bar=b.mid if feasible else None,
-        epsilon=epsilon,
-        intervals=a.intervals() + b.intervals(),
-        signaling_in_variance=ct.signaling_in_variance,
-    )
+    return _verdict(ct, tol, None, None)
 
 
 def classify(ct: CorrelatorTable, *, tol: float = DEFAULT_SLACK, no_signaling: dict | None = None) -> Verdict:
@@ -223,8 +230,7 @@ def classify(ct: CorrelatorTable, *, tol: float = DEFAULT_SLACK, no_signaling: d
     ``local`` is None unless a no-signaling +-1 box has the table's moments,
     so local implies feasible.
     """
-    verdict = ri_feasible_bipartite(ct, tol)
-    return replace(verdict, local=box_is_local(ct, no_signaling, tol), no_signaling=no_signaling)
+    return _verdict(ct, tol, box_is_local(ct, no_signaling, tol), no_signaling)
 
 
 def epsilon_gap(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> float:
@@ -234,7 +240,7 @@ def epsilon_gap(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> float:
     |rho00 rho10 - rho01 rho11 +- h_0 +- h_1|, and the least detectable
     signaling magnitude in the in-principle estimation protocol.
     """
-    return _gaps(ct, tol)[3]
+    return _gaps(ct, tol)[4]
 
 
 def emit_geometry(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> dict:
@@ -245,16 +251,15 @@ def emit_geometry(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> dict:
     feasibility intervals, disjoint, tangent or overlapping as Alice's signed
     gap is above ``tol``, within it of 0, or below. ``gap`` is ``epsilon_gap``.
     """
-    a, _, _, epsilon = _gaps(ct, tol)
-    intervals = a.intervals()
+    a, _, intervals, _, epsilon = _gaps(ct, tol)
     out = {
         "circles": [
             {"context": iv.context, "center": 0.5 * (iv.lo + iv.hi), "radius": 0.5 * (iv.hi - iv.lo)}
-            for iv in intervals
+            for iv in intervals[:2]
         ],
         "relation": "disjoint" if a.gap > tol else "tangent" if a.gap >= -tol else "overlapping",
         "gap": epsilon,
-        "intervals": [iv.to_json_dict() for iv in intervals],
+        "intervals": [iv.to_json_dict() for iv in intervals[:2]],
     }
     if out["relation"] == "tangent":
         out["intersection_point"] = [a.mid, 0.0]

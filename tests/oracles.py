@@ -198,3 +198,63 @@ def schur_complement(m, block_split: int) -> np.ndarray:
     w = np.linalg.solve(low, a[k:, :k].conj().T)
     comp = a[k:, k:] - w.conj().T @ w
     return 0.5 * (comp + comp.conj().T)
+
+
+def table_fault_oracle(means_a, means_b, var_a, var_b, cov, pearson, pearson_defined=None) -> str | None:
+    """The message ``CorrelatorTable`` must raise for these fields, or None if it accepts them.
+
+    Each rule is its own NumPy reduction, checked field by field in the order
+    the fields are listed: each moment vector finite with length 2, variances
+    nonnegative, cov and pearson 2x2, defined |rho| <= 1 + 1e-9, and at each
+    defined entry a finite raw correlator cov + mean_a mean_b.
+    """
+    vectors = [np.asarray(v, dtype=np.float64) for v in (means_a, means_b, var_a, var_b)]
+    for name, v in zip(("means_a", "means_b", "var_a", "var_b"), vectors):
+        if v.shape != (2,) or not np.all(np.isfinite(v)):
+            return f"{name} must be a finite length-2 vector"
+    if np.any(vectors[2] < 0) or np.any(vectors[3] < 0):
+        return "variances must be nonnegative"
+    cov, pe = np.asarray(cov, dtype=np.float64), np.asarray(pearson, dtype=np.float64)
+    if cov.shape != (2, 2) or pe.shape != (2, 2):
+        return "cov and pearson must be 2x2"
+    defined = np.isfinite(pe) if pearson_defined is None else np.asarray(pearson_defined, dtype=bool)
+    if np.any(np.abs(pe[defined]) > 1.0 + 1e-9):
+        return "defined Pearson entries must lie in [-1, 1]"
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = cov + np.outer(vectors[0], vectors[1])
+    if not np.all(np.isfinite(raw[defined])):
+        return "cov + mean_a * mean_b must be finite where pearson is defined"
+    return None
+
+
+def tripartite_fault_oracle(blocks, variances) -> str | None:
+    """The message ``TripartiteCorrelatorTable`` must raise, or None: one reduction per rule and field."""
+    for name, m in zip(("pearson_ab", "pearson_ac", "pearson_bc"), blocks):
+        m = np.asarray(m, dtype=np.float64)
+        if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+            return f"{name} must be a finite 2x2 block"
+        if np.abs(m).max() > 1.0 + 1e-9:
+            return f"{name} entries must lie in [-1, 1]"
+    for name, v in zip(("var_a", "var_b", "var_c"), variances):
+        v = np.ones(2) if v is None else np.asarray(v, dtype=np.float64)
+        if v.shape != (2,) or np.any(v < 0) or not np.all(np.isfinite(v)):
+            return f"{name} must be a nonnegative length-2 vector"
+    return None
+
+
+def probability_fault_oracle(outcomes_a, outcomes_b, p) -> str | None:
+    """The message ``ProbabilityTable`` must raise, or None: one reduction per rule."""
+    oa, ob = np.asarray(outcomes_a, dtype=np.float64), np.asarray(outcomes_b, dtype=np.float64)
+    pr = np.asarray(p, dtype=np.float64)
+    if oa.ndim != 1 or ob.ndim != 1 or oa.size == 0 or ob.size == 0:
+        return "outcome lists must be non-empty 1-d arrays"
+    if not (np.all(np.isfinite(oa)) and np.all(np.isfinite(ob))):
+        return "outcome values must be finite"
+    if pr.shape != (2, 2, oa.size, ob.size):
+        return f"p must have shape (2, 2, {oa.size}, {ob.size}), got {pr.shape}"
+    if not np.all(np.isfinite(pr)) or np.any(pr < -1e-15):
+        return "probabilities must be finite and nonnegative"
+    sums = pr.sum(axis=(2, 3))
+    if np.abs(sums - 1.0).max() > 1e-12:
+        return f"each setting pair must be normalized to 1 within 1e-12, sums={sums.tolist()}"
+    return None

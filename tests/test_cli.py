@@ -225,7 +225,11 @@ class TestGolden:
         assert captured.err == ""
         assert captured.out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("table, exit_code", [("tangent", 0), ("pr_box", 1), ("tsirelson", 0)])
+    @pytest.mark.parametrize(
+        "table, exit_code",
+        [("tangent", 0), ("pr_box", 1), ("tsirelson", 0), ("ensemble", 0), ("probabilities_3x3", 0),
+         ("moments", 1)],
+    )
     @pytest.mark.parametrize("verb", ["classify", "ri-intervals", "epsilon", "tlm-check", "geometry"])
     def test_table_verb_stdout_byte_identical(self, capsys, verb, table, exit_code):
         code = main([verb, "--input", str(GOLDEN / f"{table}.json")])
@@ -251,6 +255,9 @@ class TestMalformedTables:
             {"pearson": [[0.1, 0.2], [0.3, 0.4]], "means": [0, 0]},
             {"pearson": [[0.1, 0.2], [0.3, 0.4]], "variances": {"a": ["x", 1]}},
             {"pearson": [[True, 0.2], [0.3, 0.4]]},
+            {"pearson": [[0.5, 0.1], [0.2, 0.3]], "variances": {"a": [True, 1]}},
+            {"pearson": [[0.5, 0.1], [0.2, 0.3]], "means": {"b": [0, False]}},
+            {"pearson": [[0.5, 0.1], [0.2, 0.3]], "variances": {"a": [1, 1, 1]}},
         ],
     )
     def test_bipartite_decoder(self, tmp_path, capsys, payload):
@@ -260,6 +267,36 @@ class TestMalformedTables:
         code, out, err = run_cli(capsys, "classify", "--input", path)
         assert code == 2
         assert out is None and "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "moments, message",
+        [
+            ({"variances": {"a": [True, 1]}}, "variances: expected numbers, got a JSON boolean"),
+            ({"variances": {"b": [1, 1, 1]}}, "var_b must be a finite length-2 vector"),
+            ({"means": {"a": [0.1]}}, "means_a must be a finite length-2 vector"),
+        ],
+    )
+    def test_moment_vector_errors_name_the_field(self, moments, message):
+        with pytest.raises(MalformedInputError) as info:
+            decode_bipartite_table({"pearson": [[0.5, 0.1], [0.2, 0.3]], **moments})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            {"variances": {"a": [1e308, 1e308], "b": [1e308, 1e308]}},
+            {"variances": {"a": [1e308, 1.0], "b": [1e308, 1.0]}, "means": {"a": [0.0, 0.0]}},
+            {"means": {"a": [1e308, 1e308], "b": [1e308, 1e308]}},
+        ],
+    )
+    def test_moments_whose_products_overflow(self, tmp_path, capsys, moments):
+        # finite moments whose cov or raw correlators overflow: exit 2 from every
+        # table verb, with no RuntimeWarning (the suite turns one into an error)
+        path = write_json(tmp_path, "o.json", {"pearson": [[0.0, 0.1], [0.2, 0.3]], **moments})
+        for verb in ("classify", "ri-intervals", "epsilon", "tlm-check", "geometry"):
+            code, out, err = run_cli(capsys, verb, "--input", path)
+            assert code == 2 and out is None
+            assert json.loads(err) == {"error": "cov + mean_a * mean_b must be finite where pearson is defined"}
 
     @pytest.mark.parametrize(
         "dims", [["two", 2], [2.5, 2], 2, [[2, 2]], [None, 2], [0, 2], [-2, 2], [1, 2], [1e18, 1e18]]

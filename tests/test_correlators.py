@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import probability_fault_oracle, table_fault_oracle, tripartite_fault_oracle
 
 from bellri.correlators import (
     CorrelatorTable,
     ProbabilityTable,
+    TripartiteCorrelatorTable,
     check_no_signaling,
     chsh,
     chsh_max,
@@ -37,6 +39,75 @@ class TestProbabilityTable:
         p[0, 0] = [[0.5, -0.1], [0.3, 0.3]]
         with pytest.raises(MalformedInputError):
             ProbabilityTable(outcomes_a=[-1, 1], outcomes_b=[-1, 1], p=p)
+
+
+# entries that break a rule, sit at its edge, or overflow a product
+EDGE_ENTRIES = (np.nan, np.inf, -np.inf, -0.5, -1e-300, -0.0, 0.0, 1.0 + 1e-9, 1.0 + 3e-9, -1.0 - 3e-9,
+                1e155, 1e308, -1e308)
+
+
+def _mutated(rng, fields: dict, n: int) -> dict:
+    """``fields`` with ``n`` random entries set to an edge entry or a vector's length changed."""
+    fields = dict(fields)
+    for _ in range(n):
+        name = list(fields)[rng.integers(len(fields))]
+        a = np.array(np.ones(2) if fields[name] is None else fields[name], dtype=np.float64)
+        if a.size == 0 or rng.random() < 0.15:
+            a = np.zeros(a.shape[:-1] + (max(a.shape[-1] + rng.choice([-1, 1]), 0),))
+        else:
+            a.flat[rng.integers(a.size)] = EDGE_ENTRIES[rng.integers(len(EDGE_ENTRIES))]
+        fields[name] = a
+    return fields
+
+
+def _message(build) -> str | None:
+    try:
+        build()
+    except MalformedInputError as exc:
+        return str(exc)
+    return None
+
+
+class TestOnePassValidation:
+    """One pass over a table's entries rejects what the field-by-field rules reject, with their message."""
+
+    def test_bipartite_table(self):
+        rng = np.random.default_rng(1101)
+        for n in range(3000):
+            m = rng.uniform(-1, 1, 4)
+            pe = rng.uniform(-1, 1, (2, 2))
+            fields = {"means_a": m[:2], "means_b": m[2:], "var_a": 1 - m[:2] ** 2, "var_b": 1 - m[2:] ** 2,
+                      "cov": pe * 0.5, "pearson": pe}
+            fields = _mutated(rng, fields, int(rng.integers(0, 3)))
+            if n % 3 == 0 and np.shape(fields["pearson"]) == (2, 2):
+                # undefined entries are NaN and masked, as from_probability_table gives them
+                mask = rng.random((2, 2)) < 0.8
+                fields["pearson"] = np.where(mask, fields["pearson"], np.nan)
+                fields["pearson_defined"] = mask
+            assert _message(lambda: CorrelatorTable(**fields)) == table_fault_oracle(**fields), fields
+
+    def test_tripartite_table(self):
+        rng = np.random.default_rng(1102)
+        for _ in range(2000):
+            fields = {name: rng.uniform(-1, 1, (2, 2)) for name in ("pearson_ab", "pearson_ac", "pearson_bc")}
+            fields.update({name: rng.uniform(0, 2, 2) if rng.random() < 0.5 else None
+                           for name in ("var_a", "var_b", "var_c")})
+            fields = _mutated(rng, fields, int(rng.integers(0, 3)))
+            expected = tripartite_fault_oracle(
+                [fields[n] for n in ("pearson_ab", "pearson_ac", "pearson_bc")],
+                [fields[n] for n in ("var_a", "var_b", "var_c")],
+            )
+            assert _message(lambda: TripartiteCorrelatorTable(**fields)) == expected, fields
+
+    def test_probability_table(self):
+        rng = np.random.default_rng(1103)
+        for _ in range(2000):
+            na, nb = (int(x) for x in rng.integers(1, 4, 2))
+            fields = {"outcomes_a": rng.uniform(-2, 2, na), "outcomes_b": rng.uniform(-2, 2, nb),
+                      "p": rng.dirichlet(np.ones(na * nb), size=(2, 2)).reshape(2, 2, na, nb)}
+            fields = _mutated(rng, fields, int(rng.integers(0, 3)))
+            expected = probability_fault_oracle(**fields)
+            assert _message(lambda: ProbabilityTable(**fields)) == expected, fields
 
 
 class TestFromPearson:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import product_cov_oracle
 
-from bellri.correlators import chsh_max, chsh_raw
+from bellri.correlators import CHSH_SIGNS, chsh_max, chsh_raw
 from bellri.errors import MalformedInputError
 from bellri.lhv import (
     DeterministicStrategy,
@@ -84,6 +84,19 @@ class TestIsLocal:
     def test_out_of_range_rejected(self):
         with pytest.raises(MalformedInputError):
             is_local(np.array([[1.5, 0.0], [0.0, 0.0]]))
+
+    def test_facets_match_chsh_sign_patterns(self):
+        # the PR box mixed into a local vertex it shares a facet with, at weights
+        # down to the rounding scale and scaled a hair inwards: CHSH ~ 2 +- 1e-16
+        rng = np.random.default_rng(22)
+        pr = np.array([[1.0, 1.0], [1.0, -1.0]])
+        for _ in range(5000):
+            share = 10.0 ** rng.uniform(-18, -8)
+            e = (1.0 - 10.0 ** rng.uniform(-18, -8)) * (share * pr + (1.0 - share) * np.ones((2, 2)))
+            e = e * rng.choice([-1, 1], (2, 1)) * rng.choice([-1, 1], (1, 2))
+            e = e.T if rng.random() < 0.5 else e
+            tol = float(rng.choice([0.0, 1e-15, 1e-12]))
+            assert is_local(e, tol) == all(abs(float((s * e).sum())) <= 2.0 + tol for s in CHSH_SIGNS)
 
 
 class TestProductCovariance:

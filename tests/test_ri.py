@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import tangent_pearson
+from conftest import random_table_payload, tangent_pearson
 from oracles import (
     epsilon_four_signs,
     pr_box_demo_oracle,
@@ -13,6 +13,7 @@ from oracles import (
     tripartite_condition_matrix,
 )
 
+from bellri.cli import decode_bipartite_table
 from bellri.correlators import (
     CorrelatorTable,
     ProbabilityTable,
@@ -281,6 +282,49 @@ class TestOneRule:
         ns = check_no_signaling(pt)
         assert not ns["pass"]
         assert classify(from_probability_table(pt), no_signaling=ns).local is None
+
+
+def _no_signaling(pt, tol):
+    return None if pt is None else check_no_signaling(pt, tol)
+
+
+# every call that reads a bipartite table's sides, as (table, probability table, tol) -> result
+SIDE_READERS = {
+    "classify": lambda ct, pt, tol: classify(ct, tol=tol, no_signaling=_no_signaling(pt, tol)),
+    "ri_feasible_bipartite": lambda ct, pt, tol: ri_feasible_bipartite(ct, tol),
+    "tlm_check": lambda ct, pt, tol: tlm_check(ct, tol),
+    "epsilon_gap": lambda ct, pt, tol: epsilon_gap(ct, tol),
+    "emit_geometry": lambda ct, pt, tol: emit_geometry(ct, tol),
+    "r_intervals": lambda ct, pt, tol: [f(ct, k) for f in (r_interval_bipartite, r_interval_swapped) for k in (0, 1)],
+}
+
+
+class TestKeptSides:
+    """A table keeps its two sides, which do not depend on ``tol``, and nothing that does."""
+
+    def test_every_reader_matches_a_freshly_decoded_table(self):
+        rng = np.random.default_rng(1111)
+        kinds = ("pearson", "tangent", "ensemble", "probabilities")
+        calls = [(name, tol) for name in SIDE_READERS for tol in (1e-9, 1e-3)]
+        for n in range(500):
+            payload = random_table_payload(rng, kinds[n % len(kinds)])
+            if "pearson" in payload:
+                # tangent tables pushed apart by ~1e-6: infeasible at tol 1e-9, feasible at 1e-3
+                scale = 1.0 + 1e-6 if n % len(kinds) == 1 else 1.0
+                payload["pearson"] = np.clip(np.array(payload["pearson"]) * scale, -1.0, 1.0).tolist()
+            ct, pt = decode_bipartite_table(payload)
+            for k in rng.permutation(len(calls)):
+                name, tol = calls[k]
+                fresh, fresh_pt = decode_bipartite_table(payload)
+                assert SIDE_READERS[name](ct, pt, tol) == SIDE_READERS[name](fresh, fresh_pt, tol), (payload, name)
+
+    def test_degenerate_table_keeps_nothing(self):
+        ct = statistics_of(LhvEnsemble.point(0)).table
+        for read in SIDE_READERS.values():
+            for _ in range(2):
+                with pytest.raises(DegenerateDataError):
+                    read(ct, None, 1e-9)
+        assert "_sides" not in vars(ct)
 
 
 class TestGTheta:
