@@ -35,6 +35,7 @@ __all__ = [
 
 _VAR_FLOOR = 1e-12
 _PEARSON_MAX = 1.0 + 1e-9     # |rho| above this is out of range, not rounding
+_OUTCOME_MAX = 1e77           # outcome magnitudes whose moments' pairwise products stay finite
 
 # the eight facet sign patterns, indexed like pearson[i][j]: one odd -1 entry at
 # (1, 1), (1, 0), (0, 1), (0, 0), then those four negated
@@ -73,8 +74,8 @@ class ProbabilityTable:
         pr = np.array(self.p, dtype=np.float64)
         if oa.ndim != 1 or ob.ndim != 1 or oa.size == 0 or ob.size == 0:
             raise MalformedInputError("outcome lists must be non-empty 1-d arrays")
-        if not all(map(math.isfinite, oa.tolist() + ob.tolist())):
-            raise MalformedInputError("outcome values must be finite")
+        if not all(abs(x) <= _OUTCOME_MAX for x in oa.tolist() + ob.tolist()):    # NaN fails
+            raise MalformedInputError("outcome values must be finite and at most 1e77 in magnitude")
         if pr.shape != (2, 2, oa.size, ob.size):
             raise MalformedInputError(
                 f"p must have shape (2, 2, {oa.size}, {ob.size}), got {pr.shape}"
@@ -143,7 +144,7 @@ class CorrelatorTable:
 
     def require_defined(self) -> np.ndarray:
         if not self.all_defined:
-            bad = [tuple(ix) for ix in np.argwhere(~self.pearson_defined)]
+            bad = [tuple(ix) for ix in np.argwhere(~self.pearson_defined).tolist()]
             raise DegenerateDataError(f"Pearson entries undefined at (i, j) in {bad}")
         return self.pearson
 

@@ -77,7 +77,7 @@ class LhvEnsemble:
         if not np.all(np.isfinite(w)) or np.any(w < -1e-15):
             raise MalformedInputError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise MalformedInputError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
+            raise MalformedInputError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

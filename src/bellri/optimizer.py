@@ -19,10 +19,10 @@ The optimizer is a Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308,
 with seed + r, and each converged simplex is rebuilt twice around its best
 vertex at a smaller scale. All restarts (and eta targets) run in lockstep: a
 simplex is a generator that keeps its control flow and budget and yields
-requests to ``_lockstep``, whose steps sort every simplex, build every new
-point and score every pending row at once (one map call, one call per
-objective). Each restart's result equals that restart run alone, and ties
-between restarts go to the lowest index.
+requests to ``_lockstep``, whose steps sort every simplex, build the points
+asked for and score every pending row at once (one map call, one call per
+objective). Each restart's result equals that restart run alone, bit for
+bit, and ties between restarts go to the lowest index.
 """
 
 from __future__ import annotations
@@ -67,15 +67,13 @@ class ScenarioParams:
     bob_bloch: np.ndarray             # (2, 2)
 
     def __post_init__(self) -> None:
-        sa = np.asarray(self.state_angles, dtype=np.float64)
-        ab = np.asarray(self.alice_bloch, dtype=np.float64)
-        bb = np.asarray(self.bob_bloch, dtype=np.float64)
-        if sa.shape != (6,) or ab.shape != (2, 2) or bb.shape != (2, 2):
+        names = ("state_angles", "alice_bloch", "bob_bloch")
+        arrays = [np.array(getattr(self, name), dtype=np.float64) for name in names]  # copies
+        if [arr.shape for arr in arrays] != [(6,), (2, 2), (2, 2)]:
             raise MalformedInputError("parameter blocks have wrong shapes")
-        if not all(np.all(np.isfinite(x)) for x in (sa, ab, bb)):
+        if not all(np.isfinite(arr).all() for arr in arrays):
             raise MalformedInputError("parameters must be finite")
-        for name, arr in (("state_angles", sa), ("alice_bloch", ab), ("bob_bloch", bb)):
-            arr = arr.copy()
+        for name, arr in zip(names, arrays):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -84,16 +82,10 @@ class ScenarioParams:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (N_PARAMS,):
             raise MalformedInputError(f"parameter vector must have length {N_PARAMS}")
-        return cls(
-            state_angles=x[:6],
-            alice_bloch=x[6:10].reshape(2, 2),
-            bob_bloch=x[10:14].reshape(2, 2),
-        )
+        return cls(state_angles=x[:6], alice_bloch=x[6:10].reshape(2, 2), bob_bloch=x[10:].reshape(2, 2))
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.state_angles, self.alice_bloch.ravel(), self.bob_bloch.ravel()]
-        )
+        return np.concatenate([self.state_angles, self.alice_bloch.ravel(), self.bob_bloch.ravel()])
 
     def decode(self) -> QuantumScenario:
         t1, t2, t3, p1, p2, p3 = self.state_angles
@@ -149,52 +141,57 @@ class OptResult:
             raise MalformedInputError("best_value must be finite")
 
 
-# Rows of the map's trig table: sin of parameter k at k, its cos at 14 + k,
-# then sin 0 and cos 0. Parameters 0-5 are t1-t3 and p1-p3; observable o (A0,
-# A1, B0, B1) has theta = parameter 6 + 2 o and phi = parameter 7 + 2 o.
-_THETA = np.arange(6, N_PARAMS, 2)
-_TRIG_TAKE = np.array([[29, 29, 0, 0], [29, 0, 1, 1], [14, 15, 16, 2],   # |psi| = f0 f1 f2,
-                       [29, 17, 18, 19], [28, 3, 4, 5],                  # times cos, sin of arg;
-                       _THETA, _THETA, _THETA + 14,                      # n = (sin th, sin th,
-                       _THETA + 15, _THETA + 1, [29] * 4])   # cos th) times (cos ph, sin ph, 1)
-# <sigma_i x sigma_j> (i, j = 0..3, sigma_0 = 1) at 4 i + j: row a of the
-# Kronecker product has one nonzero, f = f' + i f'' in column b, so the
-# expectation sums Re(conj(psi_a) f psi_b) over a: with u = (Re psi, Im psi),
-# f' (u_a u_b + u_a+4 u_b+4) for real f, f'' (u_a+4 u_b - u_a u_b+4) otherwise;
-# each coefficient is +-1, and a negative one takes its left factor from -u.
+# The map's work block w (a column per parameter row) holds f0 f1 twice, component
+# c of observable i of party p at _N + 6 i + 3 p + c, m_p[c] at _M + 3 p + c, T[c, k]
+# at _T + 3 c + k, the negatives of rows _N + 6 to _T, a zero row, and from _ACC the
+# sums, variances, floored variances and ratios; before the sums, the trig table
+# (sin of parameter k at k, cos at 15 + k, parameter 14 = 0), then the distinct
+# amplitude products and the negatives of those a Pauli sum subtracts. Parameters
+# 0-5 are t1-t3, p1-p3; observable i of party p has theta, phi at 6 + 4 p + 2 i.
+_N, _M, _T, _NEG, _ACC = 8, 20, 26, 35, 48
+_THETA = (6, 10, 8, 12)                 # A0, B0, A1, B1
+_TRIG_TAKE = np.array([29, 29, 0, 0] * 2 + [k for th in _THETA for k in (th, th, th + 15)]  # f0, n =
+                      + [29, 0, 1, 1] * 2 + [k for th in _THETA for k in (th + 16, th + 1, 29)]  # (sin th,
+                      + [15, 16, 17, 2] * 2 + [29, 18, 19, 20, 14, 3, 4, 5])  # sin th, cos th) (cos ph,
+# sin ph, 1); f1; f2 (|psi| = f0 f1 f2); cos, sin of the arguments. <sigma_i x sigma_j>
+# (at 4 i + j) sums Re(conj(psi_a) f psi_b) over a, f = f' + i f'' being the one
+# nonzero, at b, of row a of the Kronecker product: with u = (Re psi, Im psi), term
+# a is (f' - f'') u_a u_b+4f'' and term 4 + a is (f' + f'') u_a+4 u_b+4f'.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_KRON = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]).reshape(16, 4, 4)
-_COL = np.abs(_KRON).argmax(axis=2).T
-_PHASE = np.take_along_axis(_KRON, _COL.T[..., None], axis=2)[..., 0].T
-_PAULI_SUMS = (np.arange(8)[:, None] + 8 * (np.vstack([_PHASE.real - _PHASE.imag,
-                                                       _PHASE.real + _PHASE.imag]) < 0),
-               np.vstack([_COL + 4 * (_PHASE.imag != 0), _COL + 4 * (_PHASE.imag == 0)]))
-# Rows of the block z: component c of observable o (A0, A1, B0, B1) at
-# 4 c + o, then <sigma_i x sigma_j> at 12 + 4 i + j, so m_A[c] at 16 + 4 c,
-# m_B[c] at 13 + c and T[c, k] at 17 + 4 c + k; the negatives of these 28
-# rows follow, then a zero row. Each entry below sums three products of rows,
-# as (left, right) pairs; the first table's entries run over z, the second's
-# left factors over the first table's sums.
-_M_ROWS = [[16 + 4 * c for c in range(3)], [13 + c for c in range(3)]]
+_KRON = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]).reshape(16, 4, 4).tolist()
+_TERMS = [[(*sorted((a + 4 * h, b + 4 * (h != (f.imag != 0)))), f.real + (2 * h - 1) * f.imag < 0)
+           for e in [4, 8, 12, 1, 2, 3] + [4 * c + k for c in (1, 2, 3) for k in (1, 2, 3)]  # m_A, m_B, T
+           for b in [[abs(f) for f in _KRON[e][a]].index(1)] for f in [_KRON[e][a][b]]]
+          for h in (0, 1) for a in range(4)]
+_NEGATED = {(x, y) for row in _TERMS for x, y, neg in row if neg}
+_PAIRS = sorted({(x, y) for row in _TERMS for x, y, _ in row}, key=lambda xy: (xy not in _NEGATED, xy))
+_PAULI_SUMS = np.array([[_ACC + _PAIRS.index((x, y)) + len(_PAIRS) * neg for x, y, neg in row]
+                        for row in _TERMS])
+_PAIRS = np.array(_PAIRS).T
+# Sums of three products of rows as (left, right) pairs, terms down each column (a_i,
+# b_j: the vectors of A_i, B_j; X their cross product). The second table's left
+# factors are the first's sums; it adds <X1><X0> per party, <A_i><B_j> and the
+# squared means as single products. Last, the floored variances' pairs.
 _SUMS_A = np.array(
-    [[(4 * c + o, _M_ROWS[o // 2][c]) for c in range(3)] for o in range(4)]                 # <X_o>
-    + [[(4 * c + i, 17 + 4 * c + k) for c in range(3)] for i in range(2) for k in range(3)]
-    + [[(4 * ((c + 1) % 3) + 2 * p + 1, 4 * ((c + 2) % 3) + 2 * p),    # (X1 x X0)_c, party p
-        (28 + 4 * ((c + 2) % 3) + 2 * p + 1, 4 * ((c + 1) % 3) + 2 * p), (56, 0)]
+    [[(_N + 6 * i + 3 * p + c, _M + 3 * p + c) for c in range(3)] for p in range(2) for i in range(2)]
+    + [[(_N + 6 * i + c, _T + 3 * c + k) for c in range(3)] for i in range(2) for k in range(3)]  # a_i T
+    + [[(_N + 6 + 3 * p + (c + 1) % 3, _N + 3 * p + (c + 2) % 3),                 # (X1 x X0)_c,
+        (_NEG + 3 * p + (c + 2) % 3, _N + 3 * p + (c + 1) % 3), (_ACC - 1, _N)]  # party p
        for c in range(3) for p in range(2)]
-    + [[(4 * c + 2 * p + 1, 4 * c + 2 * p) for c in range(3)] for p in range(2)]        # X1.X0
+    + [[(_N + 6 + 3 * p + c, _N + 3 * p + c) for c in range(3)] for p in range(2)]       # X1.X0
 ).transpose(2, 1, 0)
-_SUMS_B = np.array(
-    [[(4 + 3 * i + k, 4 * k + 2 + j) for k in range(3)] for i in range(2) for j in range(2)]
-    + [[(10 + 2 * c + p, 28 + _M_ROWS[p][c]) for c in range(3)] for p in range(2)]  # -(X1 x X0).m
-).transpose(2, 1, 0)
-# <X1><X0> per party, <A_i><B_j>; all eight: the variances under nu, Pearson, eta
-_PAIR_A, _PAIR_B = np.array([1, 3, 0, 0, 1, 1, 1, 3]), np.array([0, 2, 2, 3, 2, 3, 0, 2])
+_PAIR_A, _PAIR_B = [1, 3, 0, 0, 1, 1, 1, 3], [0, 2, 2, 3, 2, 3, 0, 2]     # under nu, Pearson, eta
+_SUMS_B = np.hstack([np.array(
+    [[(_ACC + 4 + 3 * i + k, _N + 3 + 6 * j + k) for k in range(3)] for i in range(2) for j in range(2)]
+    + [[(_ACC + 10 + 2 * c + p, _NEG + 6 + 3 * p + c) for c in range(3)] for p in range(2)]  # -(X1 x X0).m
+).transpose(2, 1, 0).reshape(2, 18), [_ACC + np.r_[_PAIR_A[:6], :4], _ACC + np.r_[_PAIR_B[:6], :4]]])
+_VAR_PAIRS, _FLOORS = _ACC + 28 + np.array([_PAIR_A, _PAIR_B]), np.array([0, _VAR_FLOOR])[:, None, None]
 
 
-def _sums(a: np.ndarray, b: np.ndarray, rows, out: np.ndarray) -> None:
-    """out[e] = sum over terms t of a[left[t, e]] * b[right[t, e]], with rows = (left, right)."""
-    np.add.reduce(a.take(rows[0], axis=0) * b.take(rows[1], axis=0), axis=0, out=out)
+def _products(w: np.ndarray, pairs) -> np.ndarray:
+    """Products of the rows of w that pairs = (left, right) names, in pairs' shape."""
+    terms = w.take(pairs, axis=0)
+    return np.multiply(terms[0], terms[1], out=terms[0])
 
 
 def _two_qubit_moments(x) -> tuple[QuantumMoments, np.ndarray]:
@@ -203,45 +200,49 @@ def _two_qubit_moments(x) -> tuple[QuantumMoments, np.ndarray]:
     Each observable is a unit Bloch vector n, so with the state's Bloch
     vectors m_A, m_B and T_ij = <sigma_i x sigma_j>: <a.sigma> = a.m_A,
     var = 1 - <a.sigma>^2, cov_ij = a_i^T T b_j - <A_i><B_j> and
-    r_q = a_1.a_0 + i (a_1 x a_0).m_A - <A_1><A_0> (Bob's alike). Returns the
-    record and the mask of rows with a variance at or below the floor of
-    ``moments``, whose eta, nu and Pearson entries are meaningless. Raises
-    ``MalformedInputError`` on a block of the wrong shape or a non-finite entry.
+    r_q = a_1.a_0 + i (a_1 x a_0).m_A - <A_1><A_0> (Bob's alike). A Pauli
+    expectation gathers its 8 signed terms from the 32 distinct amplitude
+    products, each computed once; every other sum is one gather, multiply
+    and reduce on one work block. Returns the record and the mask of rows with
+    a variance at or below the floor of ``moments`` (their eta, nu and Pearson
+    are meaningless); raises ``MalformedInputError`` on a bad shape or entry.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != N_PARAMS:
         raise MalformedInputError(f"parameter block must have shape (R, {N_PARAMS})")
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         raise MalformedInputError("parameters must be finite")
     r = len(v)
-    trig = np.empty((30, r))
-    np.sin(v.T, out=trig[:N_PARAMS])
-    np.cos(v.T, out=trig[N_PARAMS:28])
-    trig[28], trig[29] = 0.0, 1.0
+    w = np.zeros((_ACC + _PAIRS.size, r))
+    trig, angles = w[_ACC:_ACC + 30], w[_ACC + 30:_ACC + 45]
+    angles[:N_PARAMS] = v.T
+    np.sin(angles, out=trig[:15])
+    np.cos(angles, out=trig[15:])
     t = trig.take(_TRIG_TAKE, axis=0)
-    u = (((t[0] * t[1]) * t[2]) * t[3:5]).reshape(8, r)
-    z = np.empty((57, r))
-    np.multiply(t[5:8], t[8:], out=z[:12].reshape(3, 4, r))
-    _sums(np.concatenate((u, -u)), u, _PAULI_SUMS, out=z[12:28])
-    np.negative(z[:28], out=z[28:56])
-    z[56] = 0.0
-    acc = np.empty((24, r))                 # the sums of _SUMS_A, then of _SUMS_B
-    _sums(z, z, _SUMS_A, out=acc[:18])
-    mean = acc[:4]
-    var = np.maximum(1.0 - mean * mean, 0.0)
-    degenerate = (var <= _VAR_FLOOR).any(axis=0)
-    var_div = np.maximum(var, _VAR_FLOOR)   # var itself on every unmasked row
-    _sums(acc, z, _SUMS_B, out=acc[18:])
-    acc[16:22] -= mean.take(_PAIR_A[:6], axis=0) * mean.take(_PAIR_B[:6], axis=0)
+    np.multiply(t[:_M], t[_M:2 * _M], out=w[:_M])
+    prod = w[_ACC:].reshape(2, -1, r)
+    (w[:8] * t[40:48] * t[48:]).take(_PAIRS, axis=0, out=prod, mode="clip")   # u, then pairs
+    del t                                   # freed before the largest gather
+    np.multiply(prod[0], prod[1], out=prod[0])
+    np.negative(prod[0, :len(_NEGATED)], out=prod[1, :len(_NEGATED)])
+    np.add.reduce(w.take(_PAULI_SUMS, axis=0), axis=0, out=w[_M:_NEG])
+    np.negative(w[_N + 6:_T], out=w[_NEG:_ACC - 1])
+    acc = w[_ACC:_ACC + 24]
+    np.add.reduce(_products(w, _SUMS_A), axis=0, out=acc[:18])
+    prod = _products(w, _SUMS_B)
+    np.add.reduce(prod[:18].reshape(3, 6, r), axis=0, out=acc[18:])
+    acc[16:22] -= prod[18:24]
+    diff = 1.0 - prod[24:]
+    degenerate = np.logical_or.reduce(diff <= _VAR_FLOOR)
+    np.maximum(diff, _FLOORS, out=w[_ACC + 24:_ACC + 32].reshape(2, 4, r))   # var, then floored
     # acc[16:]: Re r_q per party, cov, -Im r_q per party; divided: nu, Pearson, eta
-    ratio = acc[16:] / np.sqrt(var_div.take(_PAIR_A, axis=0) * var_div.take(_PAIR_B, axis=0))
+    ratio = np.divide(acc[16:], np.sqrt(prod := _products(w, _VAR_PAIRS), out=prod),
+                      out=w[_ACC + 32:_ACC + 40])
     r_q = acc[16:18] - 1j * acc[22:]
-    return QuantumMoments(
-        mean[:2].T, mean[2:].T, var[:2].T, var[2:].T,
-        acc[18:22].reshape(2, 2, r).transpose(2, 0, 1),
-        ratio[2:6].reshape(2, 2, r).transpose(2, 0, 1),
-        ratio[6], ratio[7], ratio[0], ratio[1], r_q[0], r_q[1],
-    ), degenerate
+    wt = w[_ACC:].T                         # means, cov, variances and ratios, row first
+    return QuantumMoments(wt[:, :2], wt[:, 2:4], wt[:, 24:26], wt[:, 26:28],
+                          wt[:, 18:22].reshape(r, 2, 2), wt[:, 34:38].reshape(r, 2, 2),
+                          ratio[6], ratio[7], ratio[0], ratio[1], *r_q), degenerate
 
 
 class _Evaluator:
@@ -253,22 +254,23 @@ class _Evaluator:
         self.maximum = -math.inf
 
 
-def _score(x: np.ndarray, groups: dict) -> np.ndarray:
-    """Objective values of the rows x, evaluator ev scoring rows lo:hi for groups[ev] = [lo, hi]."""
+def _score(x: np.ndarray, groups: list) -> np.ndarray:
+    """Objective values of the rows x, each [evaluator, lo, hi] of groups scoring rows lo:hi."""
     mom, degenerate = _two_qubit_moments(x)
     vals = np.empty(len(x))
-    for ev, (lo, hi) in groups.items():
+    for ev, lo, hi in groups:
         out = ev.objective(mom)
         vals[lo:hi] = out[lo:hi] if np.ndim(out) else out
-    vals[degenerate] = DEGENERATE_PENALTY
+    if hit := np.count_nonzero(degenerate):
+        vals[degenerate] = DEGENERATE_PENALTY
     finite = np.isfinite(vals)
-    if not finite.all():
+    if np.count_nonzero(finite) < len(vals):
         i = int(finite.argmin())
         raise ObjectiveError(f"objective returned {float(vals[i])!r} at parameters {x[i].tolist()}")
-    for ev, (lo, hi) in groups.items():
+    for ev, lo, hi in groups:
         ev.count += hi - lo
-        ev.degenerate_hits += int(np.count_nonzero(degenerate[lo:hi]))
-        ev.maximum = max(ev.maximum, float(vals[lo:hi].max()))
+        ev.degenerate_hits += np.count_nonzero(degenerate[lo:hi]) if hit else 0
+        ev.maximum = max(ev.maximum, float(np.maximum.reduce(vals[lo:hi])))
     return vals
 
 
@@ -276,58 +278,59 @@ def _score(x: np.ndarray, groups: dict) -> np.ndarray:
 # through the centroid of the others, expand twice as far (a search asks right
 # after the reflection, so it is rebuilt from the same simplex), contract halfway.
 _XR, _XE, _XC = "reflect", "expand", "contract"
+_BLOCK = {_XR: 0, _XE: 1, _XC: 2}       # the row block of _lockstep holding each kind
 
 
 def _lockstep(jobs, tol: float) -> list:
     """Run (evaluator, search) jobs, each evaluator's adjacent, and return each search's result.
 
-    ``search(pts, vals)`` starts a generator on its job's rows of one (J, 15,
-    14) vertex array and (J, 15) value array (to minimize), edited in place. It
-    yields a slice of its rows, answered with their values, or ``_XR``/``_XE``/
-    ``_XC``, answered with (value, point), or with None at ``_XR`` when its value
-    spread is below tol. Each step sorts every simplex, builds every point, maps
-    all rows in one call and runs each objective once on the whole record.
+    ``search(pts, vals)`` starts a generator on its job's column j of one (15,
+    J, 14) vertex array and (15, J) value array (to minimize), edited in place.
+    It yields a slice of its vertices, answered with their values, or ``_XR``/
+    ``_XE``/``_XC``, answered with (value, point), or with None at ``_XR`` when
+    its value spread is below tol. Each step sorts every simplex, builds each
+    kind of point that some search asks for in its own block of rows, gathers
+    the asked rows, maps them in one call and runs each objective once.
     """
     J, n = len(jobs), N_PARAMS
-    rows = np.zeros((J * (n + 2), n))       # each job's new point, then every vertex
-    pts, vertices = rows[:J], rows[J:]
-    P, V = vertices.reshape(J, n + 1, n), np.full((J, n + 1), math.inf)
-    results, first = [None] * J, np.arange(0, J * (n + 1), n + 1)[:, None]
+    rows = np.zeros(((n + 4) * J, n))       # 3 blocks of points, then vertex k of job j at (3 + k) J + j
+    new, vertices = rows[:3 * J].reshape(3, J, n), rows[3 * J:]
+    P, V = vertices.reshape(n + 1, J, n), np.full((n + 1, J), math.inf)
+    results, cols = [None] * J, np.arange(J)
     live = [(j, ev, gen, next(gen)) for j, (ev, search) in enumerate(jobs)
-            for gen in [search(P[j], V[j])]]
+            for gen in [search(P[:, j], V[:, j])]]
     while live:
-        order = V.argsort(axis=1, kind="stable") + first
-        V[:], P[:] = V.take(order), vertices.take(order, axis=0)
-        ends = V[:, ::n].tolist()           # (best, worst) value per job
-        centroid = np.add.reduce(P[:, :-1], axis=1) / n
-        take, plan, groups, points = [], [], {}, {_XR: [], _XE: [], _XC: []}
+        P[:] = vertices.take(V.argsort(axis=0, kind="stable") * J + cols, axis=0)
+        V.sort(axis=0, kind="stable")
+        best, worst = V[::n].tolist()
+        take, plan, groups, asked, group = [], [], [], set(), [None]
         for j, ev, gen, req in live:
             lo = len(take)
-            if req is _XR and ends[j][1] - ends[j][0] < tol:
+            if req.__class__ is slice:
+                take += range(J * (req.start + 3) + j, J * (req.stop + 3) + j, J)
+            elif req is _XR and worst[j] - best[j] < tol:
                 plan.append((j, ev, gen, req, None))
                 continue
-            if req.__class__ is slice:
-                take += range(J + (n + 1) * j + req.start, J + (n + 1) * j + req.stop)
             else:
-                take.append(j)
-                points[req].append(j)
-            groups.setdefault(ev, [lo, 0])[1] = len(take)
+                take.append(J * _BLOCK[req] + j)
+                asked.add(req)
+            if group[0] is not ev:
+                groups.append(group := [ev, lo, 0])
+            group[2] = len(take)
             plan.append((j, ev, gen, req, lo))
-        np.add(centroid, centroid - P[:, -1], out=pts)
-        pts[points[_XE]] = (centroid + 2.0 * (pts - centroid))[points[_XE]]
-        pts[points[_XC]] = (centroid + 0.5 * (P[:, -1] - centroid))[points[_XC]]
+        if asked:                           # the reflections, also wanted by an expansion
+            centroid = np.add.reduce(P[:n], axis=0) / n
+            np.add(centroid, centroid - P[n], out=new[0])
+            for req, k, z in ((_XE, 2.0, new[0]), (_XC, 0.5, P[n])):
+                if req in asked:
+                    np.add(centroid, k * (z - centroid), out=new[_BLOCK[req]])
         if take:
-            x = rows.take(take, axis=0)
-            values = -_score(x, groups)
+            values = -_score(x := rows.take(take, axis=0), groups)
             floats = values.tolist()
         live = []
         for j, ev, gen, req, lo in plan:
-            if lo is None:
-                answer = None
-            elif req.__class__ is slice:
-                answer = values[lo:lo + req.stop - req.start]
-            else:
-                answer = (floats[lo], x[lo])
+            answer = (None if lo is None else values[lo:lo + req.stop - req.start]
+                      if req.__class__ is slice else (floats[lo], x[lo]))
             try:
                 live.append((j, ev, gen, gen.send(answer)))
             except StopIteration as done:
@@ -335,53 +338,48 @@ def _lockstep(jobs, tol: float) -> list:
     return results
 
 
-def _nelder_mead(x0: np.ndarray, step: float, budget: int, pts: np.ndarray, vals: np.ndarray):
-    """Classic simplex descent on its rows pts, vals; returns (best point, value, budget left).
+def _descend(x: np.ndarray, steps, budget: int, pts: np.ndarray, vals: np.ndarray):
+    """Classic simplex descent on its rows pts, vals; returns the best point and its objective value.
 
-    Yields the initial simplex and a shrink as slices of its rows, and a
-    reflection, expansion or contraction as one ``_lockstep`` request.
+    Each of the stages, on one budget, rebuilds the simplex around the last
+    best point at its step. Yields the initial simplex and a shrink as slices
+    of its rows, and a reflection, expansion or contraction as one request.
     """
-    n = x0.size
-    pts[:] = x0 + np.vstack([np.zeros(n), step * np.eye(n)])
-    vals[:] = math.inf
-    k = min(n + 1, budget)
-    budget -= k
-    vals[:k] = yield slice(0, k)
-    while budget > 0:
-        if (reflected := (yield _XR)) is None:      # answered on the sorted simplex
-            break
-        fr, xr = reflected
-        budget -= 1
-        if fr < vals[0] and budget > 0:
-            budget -= 1
-            fe, xe = yield _XE
-            if fe < fr:
-                xr, fr = xe, fe
-        if fr < vals[-2]:                   # also every new best point
-            pts[-1], vals[-1] = xr, fr
-        elif budget <= 0:
-            break
-        else:
-            budget -= 1
-            fc, xc = yield _XC
-            if fc < vals[-1]:
-                pts[-1], vals[-1] = xc, fc
-            elif budget > 0:
-                k = min(n, budget)
-                pts[1:k + 1] = pts[0] + 0.5 * (pts[1:k + 1] - pts[0])
-                budget -= k
-                vals[1:k + 1] = yield slice(1, k + 1)
-    best = int(np.argmin(vals))
-    return pts[best].copy(), float(vals[best]), budget
-
-
-def _descend(x: np.ndarray, steps, max_evals: int, pts: np.ndarray, vals: np.ndarray):
-    """Chained simplex stages from x, each rebuilt around the last best point, on one budget."""
-    value, budget = math.inf, max_evals
+    n, value = x.size, math.inf
     for step in steps:
         if budget <= 0:
             break
-        x, value, budget = yield from _nelder_mead(x, step, budget, pts, vals)
+        pts[:] = x + np.vstack([np.zeros(n), step * np.eye(n)])
+        vals[:] = math.inf
+        k = min(n + 1, budget)
+        budget -= k
+        vals[:k] = yield slice(0, k)
+        while budget > 0:
+            if (reflected := (yield _XR)) is None:      # answered on the sorted simplex
+                break
+            fr, xr = reflected
+            budget -= 1
+            if fr < vals[0] and budget > 0:
+                budget -= 1
+                fe, xe = yield _XE
+                if fe < fr:
+                    xr, fr = xe, fe
+            if fr < vals[-2]:                   # also every new best point
+                pts[-1], vals[-1] = xr, fr
+            elif budget <= 0:
+                break
+            else:
+                budget -= 1
+                fc, xc = yield _XC
+                if fc < vals[-1]:
+                    pts[-1], vals[-1] = xc, fc
+                elif budget > 0:
+                    k = min(n, budget)
+                    pts[1:k + 1] = pts[0] + 0.5 * (pts[1:k + 1] - pts[0])
+                    budget -= k
+                    vals[1:k + 1] = yield slice(1, k + 1)
+        best = int(np.argmin(vals))
+        x, value = pts[best].copy(), float(vals[best])
     return x, -value                        # the simplex minimizes -objective
 
 
@@ -454,9 +452,9 @@ def trace_eta_curve(
     for weight in (base_weight * 1e2, base_weight * 1e4):
         for ev, t in zip(evs, targets):
             ev.objective = eta_pinned_objective(t, weight)
-        xs = [x for x, _ in _lockstep([(ev, functools.partial(_descend, x, (0.03, 0.003),
-                                                              config.max_evals))
-                                       for ev, x in zip(evs, xs)], config.tol)]
+        jobs = [(ev, functools.partial(_descend, x, (0.03, 0.003), config.max_evals))
+                for ev, x in zip(evs, xs)]
+        xs = [x for x, _ in _lockstep(jobs, config.tol)]
     mom, _ = _two_qubit_moments(np.array(xs))
     achieved, chsh = np.abs(mom.eta_a), chsh_objective(mom)
     return [{"eta": t, "eta_achieved": float(a), "max_chsh": float(c),

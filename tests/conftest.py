@@ -23,25 +23,32 @@ from bellri.qmodel import (
 
 
 def random_unitary(rng, d):
+    """Haar-random unitary: Q of g = QR with R's diagonal positive, by Gram-Schmidt on g's columns."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    q = []
+    for col in g.T.tolist():
+        for u in q:
+            c = sum(x.conjugate() * y for x, y in zip(u, col))
+            col = [y - c * x for x, y in zip(u, col)]
+        norm = math.sqrt(sum(y.real * y.real + y.imag * y.imag for y in col))
+        q.append([y / norm for y in col])
+    return np.array(q).T
 
 
 def random_bloch(rng):
-    return bloch_observable(math.acos(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
+    u, v = rng.random(2)                    # the draws of uniform(-1, 1), uniform(-pi, pi)
+    return bloch_observable(math.acos(-1.0 + 2.0 * u), -math.pi + 2.0 * math.pi * v)
 
 
 def random_max_entangled(rng):
-    """Random maximally entangled two-qubit state (marginals fully mixed)."""
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
-    return np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) @ phi
+    """Random maximally entangled two-qubit state (marginals fully mixed): (U x V)|Phi+>."""
+    u = random_unitary(rng, 2)
+    return (u @ random_unitary(rng, 2).T).ravel() / math.sqrt(2.0)
 
 
 def _abc_from_ab(rho_ab: np.ndarray) -> np.ndarray:
     """(A, B) density times fully mixed C, party order (A, B, C)."""
-    return np.kron(rho_ab, np.eye(2) / 2.0)
+    return (rho_ab.reshape(4, 1, 4, 1) * (np.eye(2) / 2.0)[None, :, None, :]).reshape(8, 8)
 
 
 def _abc_from_ac(rho_ac: np.ndarray) -> np.ndarray:

@@ -248,8 +248,8 @@ def probability_fault_oracle(outcomes_a, outcomes_b, p) -> str | None:
     pr = np.asarray(p, dtype=np.float64)
     if oa.ndim != 1 or ob.ndim != 1 or oa.size == 0 or ob.size == 0:
         return "outcome lists must be non-empty 1-d arrays"
-    if not (np.all(np.isfinite(oa)) and np.all(np.isfinite(ob))):
-        return "outcome values must be finite"
+    if not (np.all(np.abs(oa) <= 1e77) and np.all(np.abs(ob) <= 1e77)):      # NaN fails
+        return "outcome values must be finite and at most 1e77 in magnitude"
     if pr.shape != (2, 2, oa.size, ob.size):
         return f"p must have shape (2, 2, {oa.size}, {ob.size}), got {pr.shape}"
     if not np.all(np.isfinite(pr)) or np.any(pr < -1e-15):

@@ -298,6 +298,26 @@ class TestMalformedTables:
             assert code == 2 and out is None
             assert json.loads(err) == {"error": "cov + mean_a * mean_b must be finite where pearson is defined"}
 
+    @pytest.mark.parametrize("outcomes", [[-1e200, 1e200], [-1e78, 1.0], [0.0, float("inf")]])
+    def test_outcomes_whose_moments_overflow(self, tmp_path, capsys, outcomes):
+        # an outcome's square or product must stay finite: exit 2 with a message,
+        # not an OverflowError traceback (nor a RuntimeWarning, an error here)
+        p = np.full((2, 2, 2, 2), 0.25).tolist()
+        path = write_json(tmp_path, "o.json", {"probabilities": {"outcomes_a": outcomes,
+                                                                 "outcomes_b": [-1.0, 1.0], "p": p}})
+        for verb in ("classify", "ri-intervals", "epsilon", "tlm-check", "geometry"):
+            code, out, err = run_cli(capsys, verb, "--input", path)
+            assert code == 2 and out is None
+            assert json.loads(err) == {"error": "outcome values must be finite and at most 1e77 in magnitude"}
+
+    def test_outcomes_at_the_bound_accepted(self, tmp_path, capsys):
+        p = np.full((2, 2, 2, 2), 0.25).tolist()
+        path = write_json(tmp_path, "o.json", {"probabilities": {"outcomes_a": [-1e77, 1e77],
+                                                                 "outcomes_b": [-1e77, 1e77], "p": p}})
+        for verb in ("classify", "ri-intervals", "epsilon", "tlm-check", "geometry"):
+            code, out, err = run_cli(capsys, verb, "--input", path)
+            assert code in (0, 1) and err == "", (verb, err)
+
     @pytest.mark.parametrize(
         "dims", [["two", 2], [2.5, 2], 2, [[2, 2]], [None, 2], [0, 2], [-2, 2], [1, 2], [1e18, 1e18]]
     )

@@ -146,8 +146,10 @@ class TestFromProbabilityTable:
         )
         assert not ct.pearson_defined[0, 0] and not ct.pearson_defined[0, 1]
         assert ct.pearson_defined[1, 0] and ct.pearson_defined[1, 1]
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DegenerateDataError) as info:
             chsh(ct)
+        # plain Python indices, not NumPy scalar reprs
+        assert str(info.value) == "Pearson entries undefined at (i, j) in [(0, 0), (0, 1)]"
 
     def test_signaling_in_variance_flagged(self):
         # Alice's variance depends on Bob's setting (a signaling table)

@@ -47,6 +47,13 @@ class TestEnsembles:
         with pytest.raises(MalformedInputError):
             LhvEnsemble(-np.ones(16) / 16.0)
 
+    def test_weight_sum_message_prints_a_plain_number(self):
+        w = np.zeros(16)
+        w[:3] = 0.5
+        with pytest.raises(MalformedInputError) as info:
+            LhvEnsemble(w)
+        assert str(info.value) == "weights must sum to 1 within 1e-12, got 1.5"
+
     def test_uniform_moments(self):
         ct = correlators_of(LhvEnsemble.uniform())
         np.testing.assert_allclose(ct.pearson, 0.0, atol=1e-15)

@@ -1,8 +1,11 @@
 """Optimizer tests: simplex search, parameter decoding, eta-pinned curve."""
 
 import dataclasses
+import json
 import math
 import re
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +36,7 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 TOL = OptConfig().tol
 FIELDS = ("mean_a", "mean_b", "var_a", "var_b", "cov", "pearson",
           "eta_a", "eta_b", "nu_a", "nu_b", "r_q_a", "r_q_b")
+BITS = Path(__file__).parent / "golden" / "optimizer_bits.json"
 
 
 class TestParams:
@@ -106,6 +110,26 @@ class TestClosedFormMoments:
                 assert abs(getattr(mom, name) - getattr(ref, name)) <= 1e-13, name
             checked += 1
         assert checked >= 490
+
+    def test_first_step_peak_memory(self):
+        # the first step maps every restart's initial simplex at once (24 x 15
+        # rows in the default search); the Pauli terms come from the 32
+        # distinct amplitude products, each computed once, which keeps the
+        # call's peak allocation under 0.7 MB (gathering both factors of all
+        # 128 terms would need about 1.2 MB)
+        x = np.random.default_rng(14).uniform(-math.pi, math.pi, size=(360, N_PARAMS))
+        _two_qubit_moments(x)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _two_qubit_moments(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 0.7e6
 
 
 class TestMaximize:
@@ -345,3 +369,50 @@ class TestEtaCurve:
         monkeypatch.setattr(optimizer, "_lockstep", no_search)
         with pytest.raises(MalformedInputError):
             trace_eta_curve([0.5, 1.5], OptConfig(restarts=1, max_evals=64, seed=0))
+
+
+def _array_bits(a: np.ndarray) -> str:
+    return f"{a.dtype}{list(a.shape)}:{a.tobytes().hex()}"
+
+
+def _run_bits(res) -> dict:
+    return {"best_value": res.best_value.hex(),
+            "best_params": res.best_params.to_vector().tobytes().hex(),
+            "evaluations": res.evaluations, "trace": [v.hex() for v in res.trace],
+            "trajectory_max": res.trajectory_max.hex(), "degenerate_hits": res.degenerate_hits}
+
+
+def map_block() -> np.ndarray:
+    """37 fixed rows of parameters; rows 0, 18 and 36 are product eigenstates (zero variances)."""
+    x = np.random.default_rng(37).uniform(-50.0, 50.0, size=(37, N_PARAMS))
+    x[[0, 18, 36]] = 0.0
+    x[9, 6:] = np.pi / 2                    # every observable sigma_x, on a random state
+    return x
+
+
+def bit_record() -> dict:
+    """Every bit the optimizer reports on a fixed matrix of searches, plus one map block.
+
+    ``tests/golden/optimizer_bits.json`` is this record, written with
+    ``json.dumps(bit_record(), indent=1)``; regenerate it only for an
+    intended change of the optimizer's arithmetic.
+    """
+    rec = {}
+    for seed in (0, 3, 17):
+        for restarts, evals in ((24, 2500), (5, 600), (3, 100), (2, 17), (1, 16)):
+            res = maximize(chsh_objective, OptConfig(restarts, evals, seed))
+            rec[f"chsh {restarts}x{evals} seed {seed}"] = _run_bits(res)
+    rec["eta 0.5 6x700"] = _run_bits(maximize(eta_pinned_objective(0.5, 1e3), OptConfig(6, 700)))
+    curve = trace_eta_curve([0, 0.3, 1], OptConfig(4, 300, refine_stages=0))
+    rec["curve"] = [{k: v.hex() if type(v) is float else v for k, v in pt.items()} for pt in curve]
+    mom, degenerate = _two_qubit_moments(map_block())
+    rec["map"] = {name: _array_bits(np.asarray(getattr(mom, name))) for name in FIELDS}
+    rec["map"]["degenerate"] = _array_bits(degenerate)
+    return rec
+
+
+class TestBitIdentity:
+    def test_searches_and_map_match_golden_bits(self):
+        # any change to the map, the simplex or its bookkeeping shows here
+        # as a changed bit, not as a drift inside a tolerance
+        assert bit_record() == json.loads(BITS.read_text(encoding="utf-8"))
