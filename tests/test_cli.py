@@ -186,18 +186,25 @@ class TestGolden:
     print ``<verb>_<table>.stdout``; each table has one exit code for all five.
     ``pr_demo.stdout`` is what ``pr-demo``, which reads no input, printed;
     ``optimize.stdout`` and ``eta_curve.stdout`` pin the seeded searches.
+    A scenario case whose input is another case's ``.json`` names it in
+    ``SHARED_INPUT``.
     """
+
+    SHARED_INPUT = {"chsh_r_tradeoff_mixed": "quantum_bound_mixed"}
 
     @pytest.mark.parametrize(
         "verb, case, exit_code",
         [
             ("simulate", "simulate_pure", 0),
             ("simulate", "simulate_mixed", 0),
+            ("simulate", "simulate_tripartite_mixed", 0),
             ("quantum-bound", "quantum_bound_mixed", 0),
+            ("chsh-r-tradeoff", "chsh_r_tradeoff_mixed", 0),
         ],
     )
     def test_stdout_byte_identical(self, capsys, verb, case, exit_code):
-        code = main([verb, "--input", str(GOLDEN / f"{case}.json")])
+        payload = GOLDEN / f"{self.SHARED_INPUT.get(case, case)}.json"
+        code = main([verb, "--input", str(payload)])
         captured = capsys.readouterr()
         assert code == exit_code
         assert captured.err == ""
