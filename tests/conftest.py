@@ -96,15 +96,20 @@ def optimal_ab_with_idle_charlie(rng) -> QuantumScenario:
     )
 
 
-def random_mixed_scenario(rng, dims=(2, 3), rank: int = 3) -> QuantumScenario:
-    """Random rank-``rank`` density matrix with random_scenario's observables."""
-    sc = random_scenario(rng, dims=dims)
-    n = sc.state.size
+def random_density(rng, n: int, rank: int) -> np.ndarray:
+    """Random n x n density matrix of rank ``rank``: G G^dagger over its trace, G complex Gaussian."""
     g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     rho = g @ g.conj().T
     rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def random_mixed_scenario(rng, dims=(2, 3), rank: int = 3) -> QuantumScenario:
+    """Random rank-``rank`` density matrix with random_scenario's observables."""
+    sc = random_scenario(rng, dims=dims)
     return QuantumScenario(
-        dims=dims, state=rho / np.trace(rho).real, alice_obs=sc.alice_obs, bob_obs=sc.bob_obs
+        dims=dims, state=random_density(rng, sc.state.size, rank),
+        alice_obs=sc.alice_obs, bob_obs=sc.bob_obs,
     )
 
 

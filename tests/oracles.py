@@ -3,8 +3,9 @@
 Each builds the same quantity as a library function by a different route
 (an explicit matrix whose PSD is the condition, a brute-force PSD grid, a
 Cholesky-based Schur complement, a four-sign closed form, the arcsine form
-of the correlator bound, a brute-force covariance), so a test can check the
-two routes agree.
+of the correlator bound, a brute-force covariance, quantum expectations of
+explicit Kronecker-product operators), so a test can check the two routes
+agree.
 """
 
 import numpy as np
@@ -258,3 +259,81 @@ def probability_fault_oracle(outcomes_a, outcomes_b, p) -> str | None:
     if np.abs(sums - 1.0).max() > 1e-12:
         return f"each setting pair must be normalized to 1 within 1e-12, sums={sums.tolist()}"
     return None
+
+
+def kron_expectation(sc, ops: dict) -> complex:
+    """<O_p x O_q x ...> of scenario ``sc`` for ``ops`` = {party: matrix}.
+
+    Builds the full operator as a Kronecker product with the identity on every
+    party not in ``ops``, then takes psi^dagger (O psi) or tr(rho O).
+    """
+    full = np.ones((1, 1))
+    for party, d in enumerate(sc.dims):
+        full = np.kron(full, ops.get(party, np.eye(d)))
+    if sc.state.ndim == 1:
+        return complex(sc.state.conj() @ (full @ sc.state))
+    return complex(np.trace(sc.state @ full))
+
+
+def tensor_expectation(psi: np.ndarray, ops: dict) -> complex:
+    """<psi| O_p x O_q x ... |psi> as one einsum over the state tensor (one axis per party)."""
+    bra = "abc"[: psi.ndim]
+    ket = "".join(c.upper() if party in ops else c for party, c in enumerate(bra))
+    spec = ",".join([bra, *(bra[party] + ket[party] for party in ops), ket]) + "->"
+    return complex(np.einsum(spec, psi.conj(), *ops.values(), psi, optimize=True))
+
+
+def moments_oracle(obs, expect) -> dict:
+    """Each party's means, variances and r_q, and each pair's covariance block.
+
+    ``obs`` lists each party's two observable matrices; ``expect`` maps
+    {party: operator} to the state's expectation of their tensor product.
+    """
+    n = len(obs)
+    means = [np.array([expect({p: a}).real for a in obs[p]]) for p in range(n)]
+    variances = [np.array([expect({p: a @ a}).real for a in obs[p]]) - means[p] ** 2 for p in range(n)]
+    r_q = [expect({p: obs[p][1] @ obs[p][0]}) - means[p][1] * means[p][0] for p in range(n)]
+    cov = {
+        (p, q): np.array([[expect({p: a, q: b}).real for b in obs[q]] for a in obs[p]])
+        - np.outer(means[p], means[q])
+        for p in range(n)
+        for q in range(p + 1, n)
+    }
+    return {"means": means, "vars": variances, "r_q": r_q, "cov": cov}
+
+
+def higher_moment_oracle(sc, i: int, m: int) -> dict:
+    """``higher_moment_uncertainty_check``'s lhs and bounds with the "auto" sign, from Kronecker operators."""
+    a = [o.matrix for o in sc.alice_obs]
+    e = lambda op: kron_expectation(sc, {0: op})
+    mean = [e(x).real for x in a]
+    var = [e(x @ x).real - mu**2 for x, mu in zip(a, mean)]
+    nu_raw = (e(a[1] @ a[0]) - mean[1] * mean[0]).real
+    d = np.linalg.matrix_power(a[i], m)
+    mean_d = e(d).real
+    var_d = e(d @ d).real - mean_d**2
+    c = [e(a[k] @ d) - mean[k] * mean_d for k in (0, 1)]
+    s = -1.0 if nu_raw > 0 else 1.0
+    enhancement = abs(c[1] + s * c[0]) ** 2 / var_d
+    return {
+        "lhs": var[0] + var[1],
+        "rhs_basic": 2.0 * abs(nu_raw),
+        "rhs_enhanced": 2.0 * abs(nu_raw) + enhancement,
+        "enhancement": enhancement,
+        "sign": s,
+    }
+
+
+def qubit_outcome_oracle(sc) -> np.ndarray:
+    """p(a, b | i, j) of a two-qubit scenario with +-1 observables, outcomes ordered (-1, +1).
+
+    Each outcome's projector is (I + a X) / 2; the table is the expectation of
+    the projectors' Kronecker product.
+    """
+    proj = lambda x, a: 0.5 * (np.eye(2) + a * x.matrix)
+    signs = (-1.0, 1.0)
+    return np.array([
+        [[[kron_expectation(sc, {0: proj(x, a), 1: proj(y, b)}).real for b in signs] for a in signs]
+         for y in sc.bob_obs]
+        for x in sc.alice_obs
+    ])

@@ -1,11 +1,20 @@
 """Quantum simulator tests: moments, uncertainty checks, bounds, constructions."""
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import check_report, fresh_copy, random_mixed_scenario
+from conftest import check_report, fresh_copy, random_density, random_mixed_scenario
+from oracles import (
+    higher_moment_oracle,
+    kron_expectation,
+    moments_oracle,
+    qubit_outcome_oracle,
+    tensor_expectation,
+)
 
 from bellri import qmodel
 from bellri.correlators import chsh_max, from_probability_table
@@ -480,6 +489,26 @@ class TestHigherMoments:
         assert res["lhs"] == pytest.approx(res["rhs_basic"], abs=1e-12)
         assert res["pass"]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"m": math.nan}, {"m": math.inf}, {"i": 1.0}, {"sign": "x"}, {"m": 10**6}],
+        ids=["m-nan", "m-inf", "i-float", "sign-x", "m-overflows"],
+    )
+    def test_malformed_arguments_rejected(self, bad):
+        # the qutrit observables' spectral norms exceed 1, so A_0^(10^6) leaves double range
+        sc = _qutrit_scenario(np.random.default_rng(84))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedInputError):
+                higher_moment_uncertainty_check(sc, **{"i": 0, "m": 3, **bad})
+
+    def test_unit_norm_power_stays_in_range(self):
+        # sigma_x^(odd m) = sigma_x for every m, however large
+        sc = scenario_xy_on_zero()
+        assert higher_moment_uncertainty_check(sc, i=0, m=10**6 + 1) == (
+            higher_moment_uncertainty_check(sc, i=0, m=3)
+        )
+
 
 class TestOutcomeDistribution:
     def test_singlet_table_matches_trace_route(self):
@@ -526,6 +555,61 @@ class TestOutcomeDistribution:
         np.testing.assert_allclose(ct.means_a, mom.mean_a, atol=1e-12)
 
 
+class TestMomentsRoute:
+    """Every moment against an independent route: expectations of explicit Kronecker operators."""
+
+    @pytest.mark.parametrize("rank", [None, 3], ids=["pure", "mixed"])
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4)])
+    def test_moments_match_kron_oracle(self, dims, rank):
+        rng = np.random.default_rng(93)
+        for _ in range(5):
+            sc = _gue_scenario(rng, dims, rank)
+            want = moments_oracle(_obs_matrices(sc), lambda ops: kron_expectation(sc, ops))
+            _assert_moments_match(sc, want)
+
+    def test_pure_16_cubed_matches_tensor_oracle(self):
+        sc = _gue_scenario(np.random.default_rng(94), (16, 16, 16))
+        psi = sc.state.reshape(sc.dims)
+        want = moments_oracle(_obs_matrices(sc), lambda ops: tensor_expectation(psi, ops))
+        _assert_moments_match(sc, want)
+
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_pure_tripartite_peak_memory(self, d):
+        # a pure state is contracted as a vector: the (d^3)^2 density tensor
+        # (268 MB at d = 16, 17 GB at d = 32) is never formed
+        sc = _gue_scenario(np.random.default_rng(d), (d, d, d))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tripartite_moments(sc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("rank", [None, 2], ids=["pure", "mixed"])
+    def test_outcome_distribution_matches_oracle(self, rank):
+        rng = np.random.default_rng(95)
+        sc = random_scenario(rng, kind="bloch")
+        if rank is not None:
+            sc = QuantumScenario(dims=sc.dims, state=random_density(rng, 4, rank),
+                                 alice_obs=sc.alice_obs, bob_obs=sc.bob_obs)
+        pt = outcome_distribution(sc)
+        np.testing.assert_allclose(pt.p, qubit_outcome_oracle(sc), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [None, 2], ids=["pure", "mixed"])
+    def test_higher_moment_matches_oracle(self, rank):
+        sc = _gue_scenario(np.random.default_rng(96), (3, 2), rank)
+        for i in (0, 1):
+            for m in (2, 3):
+                got = higher_moment_uncertainty_check(sc, i=i, m=m)
+                for key, value in higher_moment_oracle(sc, i, m).items():
+                    assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
 class TestFeedsRiEngine:
     def test_quantum_tables_always_feasible_with_contained_witness(self):
         rng = np.random.default_rng(91)
@@ -567,6 +651,40 @@ def _random_unitary(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _gue_scenario(rng, dims, rank=None) -> QuantumScenario:
+    """Random observables on every party; a pure state, or a rank-``rank`` density matrix."""
+    n = int(np.prod(dims))
+    state = random_state(rng, n) if rank is None else random_density(rng, n, rank)
+    obs = [(random_observable(rng, d), random_observable(rng, d)) for d in dims] + [None]
+    return QuantumScenario(dims=dims, state=state, alice_obs=obs[0], bob_obs=obs[1],
+                           charlie_obs=obs[2])
+
+
+def _obs_matrices(sc):
+    return [[o.matrix for o in pair]
+            for pair in (sc.alice_obs, sc.bob_obs, sc.charlie_obs)[: sc.n_parties]]
+
+
+def _assert_moments_match(sc, want):
+    """``moments`` or ``tripartite_moments`` of ``sc`` against ``moments_oracle``'s record, within 1e-12."""
+    if sc.n_parties == 3:
+        tm = tripartite_moments(sc)
+        got = {"means": tm.means, "vars": tm.vars, "r_q": [tm.r_q_a],
+               "cov": {(0, 1): tm.cov_ab, (0, 2): tm.cov_ac, (1, 2): tm.cov_bc}}
+    else:
+        mom = moments(sc)
+        got = {"means": [mom.mean_a, mom.mean_b], "vars": [mom.var_a, mom.var_b],
+               "r_q": [mom.r_q_a, mom.r_q_b], "cov": {(0, 1): mom.cov}}
+    close = lambda x, y: np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-12)
+    for key in ("means", "vars"):
+        for x, y in zip(got[key], want[key], strict=True):
+            close(x, y)
+    close(got["r_q"], want["r_q"][: len(got["r_q"])])
+    assert got["cov"].keys() == want["cov"].keys()
+    for pair, block in want["cov"].items():
+        close(got["cov"][pair], block)
 
 
 def _qutrit_scenario(rng):
