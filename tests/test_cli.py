@@ -186,8 +186,8 @@ class TestGolden:
     print ``<verb>_<table>.stdout``; each table has one exit code for all five.
     ``pr_demo.stdout`` is what ``pr-demo``, which reads no input, printed;
     ``optimize.stdout`` and ``eta_curve.stdout`` pin the seeded searches.
-    A scenario case whose input is another case's ``.json`` names it in
-    ``SHARED_INPUT``.
+    The scenario and multiparty cases each read ``<case>.json``; a case whose
+    input is another case's ``.json`` names it in ``SHARED_INPUT``.
     """
 
     SHARED_INPUT = {"chsh_r_tradeoff_mixed": "quantum_bound_mixed"}
@@ -200,6 +200,9 @@ class TestGolden:
             ("simulate", "simulate_tripartite_mixed", 0),
             ("quantum-bound", "quantum_bound_mixed", 0),
             ("chsh-r-tradeoff", "chsh_r_tradeoff_mixed", 0),
+            ("monogamy", "monogamy", 0),
+            ("nparty", "nparty", 0),
+            ("zeta-bound", "zeta_bound", 0),
         ],
     )
     def test_stdout_byte_identical(self, capsys, verb, case, exit_code):
