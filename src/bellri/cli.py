@@ -261,8 +261,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
             "b": {"re": mom.r_q_b.real, "im": mom.r_q_b.imag},
         },
         "uncertainty_check": {
-            "a": qmodel.schrodinger_robertson_check(sc, "a"),
-            "b": qmodel.schrodinger_robertson_check(sc, "b"),
+            "a": qmodel.schrodinger_robertson_check(sc, "a", tol=args.tol),
+            "b": qmodel.schrodinger_robertson_check(sc, "b", tol=args.tol),
         },
     }
     return out, 0
@@ -345,7 +345,7 @@ def _cmd_geometry(args) -> tuple[dict, int]:
     return out, 0 if out["gap"] == 0.0 else 1
 
 
-# verb -> (handler, reads --input); the order is the --help order
+# verb -> (handler, reads a payload: takes --input and --tol); the order is the --help order
 _VERB_TABLE = {
     "classify": (_cmd_classify, True),
     "ri-intervals": (_cmd_ri_intervals, True),
@@ -373,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
         "shared-uncertainty feasibility bounds.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, needs_input) in _VERB_TABLE.items():
+    for verb, (_, reads_payload) in _VERB_TABLE.items():
         p = sub.add_parser(verb)
-        if needs_input:
+        if reads_payload:
             p.add_argument("--input", default="-", help="JSON file path, or - for stdin")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", default=None, help="also write the JSON result here")
         if verb in ("optimize", "eta-curve"):
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--restarts", type=int, default=24)
             p.add_argument("--max-evals", type=int, default=2000, dest="max_evals")
         if verb == "eta-curve":
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise MalformedInputError("tol must be positive and finite")
         payload, code = _VERB_TABLE[args.verb][0](args)
         text = json.dumps(payload, indent=2)

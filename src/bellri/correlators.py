@@ -30,17 +30,13 @@ __all__ = [
     "chsh_max",
     "check_no_signaling",
     "pr_box_table",
-    "CHSH_SIGNS",
 ]
 
 _VAR_FLOOR = 1e-12
 _PEARSON_MAX = 1.0 + 1e-9     # |rho| above this is out of range, not rounding
 _OUTCOME_MAX = 1e77           # outcome magnitudes whose moments' pairwise products stay finite
-
-# the eight facet sign patterns, indexed like pearson[i][j]: one odd -1 entry at
-# (1, 1), (1, 0), (0, 1), (0, 0), then those four negated
-_ODD_SIGNS = tuple(np.where(np.arange(4).reshape(2, 2) == k, -1.0, 1.0) for k in (3, 2, 1, 0))
-CHSH_SIGNS = _ODD_SIGNS + tuple(-s for s in _ODD_SIGNS)
+_OBSERVABLE_MAX = 1e75        # observable entries: at dim 32, var0 var1 and |r_q|^2 stay finite
+_SIGNALING_TOL = 1e-9         # marginal variances further apart flag signaling in variance
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -210,13 +206,13 @@ def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> tuple[np.ndar
         return np.where(defined, cov / np.sqrt(var_a * var_b), np.nan), defined
 
 
-def from_probability_table(pt: ProbabilityTable, *, signaling_tol: float = 1e-9) -> CorrelatorTable:
+def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
     """Moments of a probability table, per-context Pearson normalization.
 
     Each pearson[i, j] is computed within its own (i, j) joint distribution.
     Per-setting means and variances are the across-context averages; if a
     marginal variance differs across the other party's settings by more than
-    ``signaling_tol``, the table is flagged signaling-in-variance.
+    1e-9, the table is flagged signaling-in-variance.
     """
     oa, ob, p = pt.outcomes_a, pt.outcomes_b, pt.p
     mean_a_ctx = np.einsum("ijab,a->ij", p, oa)
@@ -234,7 +230,7 @@ def from_probability_table(pt: ProbabilityTable, *, signaling_tol: float = 1e-9)
 
     # Alice's variance across Bob's settings (rows), Bob's across Alice's (columns)
     va, vb = var_a_ctx.tolist(), var_b_ctx.tolist()
-    sig_var = any(abs(x - y) > signaling_tol for x, y in (*va, *zip(*vb)))
+    sig_var = any(abs(x - y) > _SIGNALING_TOL for x, y in (*va, *zip(*vb)))
     return CorrelatorTable(
         means_a=mean_a_ctx.mean(axis=1),
         means_b=mean_b_ctx.mean(axis=0),
@@ -265,9 +261,10 @@ def chsh_raw(ct: CorrelatorTable) -> float:
 def chsh_max(entries: np.ndarray) -> float:
     """Largest magnitude over the eight CHSH facet sign patterns.
 
-    The eight values are four sums, one per sign pattern of the first four
-    ``CHSH_SIGNS``, and their negations. Each sum adds in the row-major order
-    ``(s * entries).sum()`` uses, so every value is bit-identical to that one.
+    The eight patterns each put one -1 among four +1 (or the reverse), so the
+    values are four sums, one per position of the odd sign, and their
+    negations. Each sum adds in the row-major order ``(s * entries).sum()``
+    uses for a sign array s, so every value is bit-identical to that one.
     """
     (e00, e01), (e10, e11) = np.asarray(entries, dtype=np.float64).tolist()
     return max(abs(e00 + e01 + e10 - e11), abs(e00 + e01 - e10 + e11),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import TripartiteCorrelatorTable
+from .correlators import TripartiteCorrelatorTable, chsh_combination
 from .errors import MalformedInputError, PreconditionError
 from .linalg import is_psd
 from .qmodel import QuantumMoments
@@ -171,20 +171,16 @@ class NPartyCorrelators:
 
     def chsh_values(self) -> np.ndarray:
         """B_s = rho^s_{0,i_s} + rho^s_{1,i_s} + rho^s_{0,j_s} - rho^s_{1,j_s}."""
-        return (
-            self.rho_first[:, 0]
-            + self.rho_first[:, 1]
-            + self.rho_second[:, 0]
-            - self.rho_second[:, 1]
-        )
+        return chsh_combination(np.stack([self.rho_first, self.rho_second], axis=-1))
 
 
 def nparty_bound_check(npc: NPartyCorrelators, r_prime: float, tol: float = 1e-9) -> dict:
     """Per-experimenter CHSH sum against the shared-parameter cap.
 
     Precondition (raised on failure): for both contexts the block
-    [[1, r'], [r', 1]] - rho^T rho is PSD, i.e. the data is realizable by
-    mutually uncorrelated experimenters with the common parameter r'.
+    [[1, r'], [r', 1]] - rho^T rho is PSD within ``tol`` as given (``is_psd``'s
+    relative slack), i.e. the data is realizable by mutually uncorrelated
+    experimenters with the common parameter r'.
     Reported: the refined bound sqrt(2n)(sqrt(1+r') + sqrt(1-r')) and the
     universal cap 2 sqrt(2n), checked link by link.
     """
@@ -193,7 +189,7 @@ def nparty_bound_check(npc: NPartyCorrelators, r_prime: float, tol: float = 1e-9
     n = npc.n
     shared = np.array([[1.0, r_prime], [r_prime, 1.0]])
     for context, rho in (("first", npc.rho_first), ("second", npc.rho_second)):
-        if not is_psd(shared - rho.T @ rho, tol=max(tol, 1e-9)):
+        if not is_psd(shared - rho.T @ rho, tol=tol):
             raise PreconditionError(
                 f"bordered matrix for context '{context}' is not PSD: "
                 "data not realizable under a common uncertainty parameter"

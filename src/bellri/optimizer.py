@@ -52,6 +52,10 @@ N_PARAMS = 14
 
 DEGENERATE_PENALTY = -1e6   # finite sentinel for zero-variance iterates, below any
                             # value a penalized objective can reach near an optimum
+SIMPLEX_TOL = 1e-11         # a simplex whose value spread is below this has converged
+INIT_STEP = 0.6             # edge of a restart's first simplex; each refinement takes x0.05
+PIN_WEIGHTS = (1e3, 1e5, 1e7)   # the eta curve's penalty weight in each of its stages
+PIN_TOL = 1e-3              # |realized |eta_A| - target| of a feasible curve point
 
 
 class ObjectiveError(BellRIError):
@@ -111,9 +115,7 @@ class OptConfig:
     restarts: int = 24
     max_evals: int = 2500             # per restart, refinement stages included
     seed: int = 0
-    tol: float = 1e-11                # simplex value-spread convergence
     refine_stages: int = 2
-    init_step: float = 0.6
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_evals", "seed", "refine_stages"):
@@ -121,10 +123,6 @@ class OptConfig:
                 raise MalformedInputError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.restarts < 1 or self.max_evals < N_PARAMS + 2 or min(self.refine_stages, self.seed) < 0:
             raise MalformedInputError("config values must be positive and sane")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise MalformedInputError("tol must be finite and positive")
-        if not (math.isfinite(self.init_step) and self.init_step > 0):
-            raise MalformedInputError("init_step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -387,9 +385,9 @@ def _restarts(evaluators, config: OptConfig) -> list[list[tuple[np.ndarray, floa
     """Each evaluator's multistart runs, all in one lockstep; restart r seeds seed + r."""
     starts = [np.random.default_rng(config.seed + r).uniform(-math.pi, math.pi, size=N_PARAMS)
               for r in range(config.restarts)]
-    steps = [config.init_step * 0.05 ** s for s in range(config.refine_stages + 1)]
+    steps = [INIT_STEP * 0.05 ** s for s in range(config.refine_stages + 1)]
     runs = _lockstep([(ev, functools.partial(_descend, x0, steps, config.max_evals))
-                      for ev in evaluators for x0 in starts], config.tol)
+                      for ev in evaluators for x0 in starts], SIMPLEX_TOL)
     return [runs[k:k + config.restarts] for k in range(0, len(runs), config.restarts)]
 
 
@@ -425,38 +423,32 @@ def eta_pinned_objective(target: float, weight: float):
     return objective
 
 
-def trace_eta_curve(
-    eta_grid,
-    config: OptConfig = OptConfig(),
-    *,
-    base_weight: float = 1e3,
-    pin_tol: float = 1e-3,
-) -> list[dict]:
+def trace_eta_curve(eta_grid, config: OptConfig = OptConfig()) -> list[dict]:
     """Constrained CHSH maxima along a grid of commutator-ratio targets.
 
     Each point runs a penalty continuation in three stages, each restarting
-    the simplex from the previous stage's optimum: a multistart at the base
-    quadratic weight, then that weight x100 and x10^4. Every stage always
-    runs; ``pin_tol`` only sets ``feasible``, whether the realized |eta_A|
-    ends within it of the target. The targets run in lockstep, stage by
-    stage, and each point equals the point traced alone.
+    the simplex from the previous stage's optimum: a multistart at quadratic
+    weight 1e3, then the weights 1e5 and 1e7 (``PIN_WEIGHTS``). Every stage
+    always runs; ``feasible`` only reports whether the realized |eta_A| ends
+    within 1e-3 (``PIN_TOL``) of the target. The targets run in lockstep,
+    stage by stage, and each point equals the point traced alone.
     """
     targets = [float(t) for t in eta_grid]
     if not targets or not all(0.0 <= t <= 1.0 for t in targets):
         raise MalformedInputError("eta targets must be a nonempty list of values in [0, 1]")
-    evs = [_Evaluator(eta_pinned_objective(t, base_weight)) for t in targets]
+    evs = [_Evaluator(eta_pinned_objective(t, PIN_WEIGHTS[0])) for t in targets]
     xs = [max(runs, key=lambda run: run[1])[0] for runs in _restarts(evs, config)]
     # escalate the pin from the located basin: the base weight trades a
     # small eta drift for smoothness, the follow-up stages remove it; each
     # target keeps its evaluator, so its count spans every stage
-    for weight in (base_weight * 1e2, base_weight * 1e4):
+    for weight in PIN_WEIGHTS[1:]:
         for ev, t in zip(evs, targets):
             ev.objective = eta_pinned_objective(t, weight)
         jobs = [(ev, functools.partial(_descend, x, (0.03, 0.003), config.max_evals))
                 for ev, x in zip(evs, xs)]
-        xs = [x for x, _ in _lockstep(jobs, config.tol)]
+        xs = [x for x, _ in _lockstep(jobs, SIMPLEX_TOL)]
     mom, _ = _two_qubit_moments(np.array(xs))
     achieved, chsh = np.abs(mom.eta_a), chsh_objective(mom)
     return [{"eta": t, "eta_achieved": float(a), "max_chsh": float(c),
-             "feasible": bool(abs(a - t) <= pin_tol), "evaluations": ev.count}
+             "feasible": bool(abs(a - t) <= PIN_TOL), "evaluations": ev.count}
             for t, a, c, ev in zip(targets, achieved, chsh, evs)]

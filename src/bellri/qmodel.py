@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlators import (
+    _OBSERVABLE_MAX,
     _VAR_FLOOR,
     CorrelatorTable,
     ProbabilityTable,
@@ -69,12 +70,10 @@ __all__ = [
     "eta_saturating_scenario",
     "tsirelson_scenario",
     "truncated_oscillator_pair",
-    "random_state",
-    "random_observable",
-    "random_scenario",
 ]
 
 MAX_OBS_DIM = 32
+_MERGE_TOL = 1e-9           # eigenvalues this close are one outcome of an observable
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -100,7 +99,12 @@ class Observable:
             raise MalformedInputError(f"observable dimension must be 2..{MAX_OBS_DIM}")
         if not np.all(np.isfinite(m)):
             raise MalformedInputError("observable has non-finite entries")
-        if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, float(np.abs(m).max())):
+        scale = float(np.abs(m).max())
+        if scale > _OBSERVABLE_MAX:
+            raise MalformedInputError(
+                f"observable entries must be at most 1e75 in magnitude, got {scale:.6g}"
+            )
+        if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, scale):
             raise MalformedInputError("observable is not Hermitian within 1e-12")
         m = 0.5 * (m + m.conj().T)
         m.setflags(write=False)
@@ -535,14 +539,14 @@ def higher_moment_uncertainty_check(
 # ---------------------------------------------------------------------------
 
 
-def _spectral_outcomes(o: Observable, merge_tol: float = 1e-9):
+def _spectral_outcomes(o: Observable):
     w, v = np.linalg.eigh(o.matrix)
     outcomes: list[float] = []
     projectors: list[np.ndarray] = []
     k = 0
     while k < len(w):
         grp = [k]
-        while grp[-1] + 1 < len(w) and abs(w[grp[-1] + 1] - w[k]) <= merge_tol:
+        while grp[-1] + 1 < len(w) and abs(w[grp[-1] + 1] - w[k]) <= _MERGE_TOL:
             grp.append(grp[-1] + 1)
         vecs = v[:, grp]
         outcomes.append(float(np.mean(w[grp])))
@@ -579,7 +583,7 @@ def outcome_distribution(sc: QuantumScenario) -> ProbabilityTable:
 
 
 # ---------------------------------------------------------------------------
-# Constructors and samplers
+# Constructors
 # ---------------------------------------------------------------------------
 
 
@@ -652,52 +656,3 @@ def truncated_oscillator_pair(dim: int = 24) -> tuple[Observable, Observable]:
     p = 1j * (a.conj().T - a) / math.sqrt(2.0)
     return Observable(x), Observable(p)
 
-
-def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Unit vector with complex Gaussian entries."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def random_observable(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Observable:
-    """Random Hermitian from the symmetrized complex Gaussian ensemble."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Observable(scale * 0.5 * (g + g.conj().T))
-
-
-def random_scenario(
-    rng: np.random.Generator,
-    dims: tuple[int, int] = (2, 2),
-    kind: str = "gue",
-    min_variance: float = 1e-6,
-    max_tries: int = 64,
-) -> QuantumScenario:
-    """Random bipartite scenario, resampled until all variances are decisive.
-
-    ``kind`` is "gue" for generic Hermitian observables or "bloch" for random
-    +-1 qubit observables (requires qubit dims).
-    """
-    for _ in range(max_tries):
-        state = random_state(rng, int(np.prod(dims)))
-        if kind == "bloch":
-            if dims != (2, 2):
-                raise MalformedInputError("bloch sampling requires two qubits")
-            mk = lambda: bloch_observable(
-                math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(-math.pi, math.pi)
-            )
-            alice = (mk(), mk())
-            bob = (mk(), mk())
-        else:
-            alice = (random_observable(rng, dims[0]), random_observable(rng, dims[0]))
-            bob = (random_observable(rng, dims[1]), random_observable(rng, dims[1]))
-        sc = QuantumScenario(dims=dims, state=state, alice_obs=alice, bob_obs=bob)
-        mom_ok = True
-        try:
-            mm = moments(sc)
-            if min(mm.var_a.min(), mm.var_b.min()) < min_variance:
-                mom_ok = False
-        except DegenerateScenarioError:
-            mom_ok = False
-        if mom_ok:
-            return sc
-    raise DegenerateScenarioError("could not sample a non-degenerate scenario")

@@ -6,20 +6,70 @@ import math
 import numpy as np
 
 from bellri.correlators import pr_box_table
-from bellri.errors import PreconditionError
+from bellri.errors import DegenerateScenarioError, MalformedInputError, PreconditionError
 from bellri.lhv import _VERTEX_VALUES
 from bellri.multiparty import NPartyCorrelators, nparty_bound_check
 from bellri.qmodel import (
+    Observable,
     QuantumScenario,
     bloch_observable,
     chsh_r_tradeoff_check,
     moments,
     quantum_cov_matrix,
     quantum_tlm_check,
-    random_scenario,
     schrodinger_robertson_check,
     tsirelson_eta_bound,
 )
+
+
+def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Unit vector with complex Gaussian entries."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_observable(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Observable:
+    """Random Hermitian from the symmetrized complex Gaussian ensemble."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return Observable(scale * 0.5 * (g + g.conj().T))
+
+
+def random_scenario(
+    rng: np.random.Generator,
+    dims: tuple[int, int] = (2, 2),
+    kind: str = "gue",
+    min_variance: float = 1e-6,
+    max_tries: int = 64,
+) -> QuantumScenario:
+    """Random bipartite scenario, resampled until all variances are decisive.
+
+    ``kind`` is "gue" for generic Hermitian observables or "bloch" for random
+    +-1 qubit observables (requires qubit dims).
+    """
+    for _ in range(max_tries):
+        state = random_state(rng, int(np.prod(dims)))
+        if kind == "bloch":
+            if dims != (2, 2):
+                raise MalformedInputError("bloch sampling requires two qubits")
+            mk = lambda: bloch_observable(
+                math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(-math.pi, math.pi)
+            )
+            alice = (mk(), mk())
+            bob = (mk(), mk())
+        else:
+            alice = (random_observable(rng, dims[0]), random_observable(rng, dims[0]))
+            bob = (random_observable(rng, dims[1]), random_observable(rng, dims[1]))
+        sc = QuantumScenario(dims=dims, state=state, alice_obs=alice, bob_obs=bob)
+        mom_ok = True
+        try:
+            mm = moments(sc)
+            if min(mm.var_a.min(), mm.var_b.min()) < min_variance:
+                mom_ok = False
+        except DegenerateScenarioError:
+            mom_ok = False
+        if mom_ok:
+            return sc
+    raise DegenerateScenarioError("could not sample a non-degenerate scenario")
 
 
 def random_unitary(rng, d):

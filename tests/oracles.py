@@ -16,6 +16,12 @@ from bellri.lhv import _VERTEX_VALUES, LhvEnsemble
 from bellri.linalg import is_psd
 from bellri.multiparty import NPartyCorrelators
 
+# the eight CHSH facet sign patterns, indexed like pearson[i][j]: one odd -1 entry
+# at (1, 1), (1, 0), (0, 1), (0, 0), then those four negated; ``chsh_max`` is
+# checked against the largest |(s * entries).sum()| over them
+_ODD_SIGNS = tuple(np.where(np.arange(4).reshape(2, 2) == k, -1.0, 1.0) for k in (3, 2, 1, 0))
+CHSH_SIGNS = _ODD_SIGNS + tuple(-s for s in _ODD_SIGNS)
+
 
 class DegeneratePivotError(ArithmeticError):
     """Leading block of a Schur partition is singular or indefinite."""
@@ -37,8 +43,7 @@ def tlm_arcsine_slack(ct: CorrelatorTable) -> float:
     is quantum-realizable iff this is >= 0.
     """
     theta = np.arcsin(np.clip(ct.require_defined(), -1.0, 1.0))
-    odd = [np.where(np.arange(4).reshape(2, 2) == k, -1.0, 1.0) for k in range(4)]
-    return float(np.pi - max(abs(float((s * theta).sum())) for s in odd))
+    return float(np.pi - max(abs(float((s * theta).sum())) for s in _ODD_SIGNS))
 
 
 def ri_condition_matrix(ct: CorrelatorTable, j: int, r_prime: float) -> np.ndarray:

@@ -7,7 +7,13 @@ import math
 import time
 
 import numpy as np
-from conftest import optimal_ab_with_idle_charlie, uncorrelated_bc_scenario
+from conftest import (
+    optimal_ab_with_idle_charlie,
+    random_observable,
+    random_scenario,
+    random_state,
+    uncorrelated_bc_scenario,
+)
 from oracles import tripartite_condition_matrix
 
 from bellri.cli import main as cli_main
@@ -22,9 +28,6 @@ from bellri.qmodel import (
     higher_moment_uncertainty_check,
     moments,
     quantum_tlm_check,
-    random_observable,
-    random_scenario,
-    random_state,
     to_correlator_table,
     tripartite_moments,
     truncated_oscillator_pair,

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bellri import cli
 from bellri.cli import (
+    VERBS,
     _cmd_eta_curve,
     _cmd_monogamy,
     _cmd_zeta_bound,
@@ -63,6 +65,21 @@ def scenario_payload():
     }
 
 
+def tripartite_payload():
+    rng = np.random.default_rng(0)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    z = [[1.0, 0.0], [0.0, -1.0]]
+    x = [[0.0, 1.0], [1.0, 0.0]]
+    return {
+        "dims": [2, 2, 2],
+        "state": {"re": np.real(psi).tolist(), "im": np.imag(psi).tolist()},
+        "alice_obs": [{"re": z}, {"re": x}],
+        "bob_obs": [{"re": x}, {"re": z}],
+        "charlie_obs": [{"re": z}, {"re": x}],
+    }
+
+
 class TestClassify:
     def test_pr_box_infeasible_exit_one(self, tmp_path, capsys):
         path = write_json(tmp_path, "pr.json", pr_box_payload())
@@ -112,6 +129,87 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--input", str(path))
         assert code == 2
         assert out is None and err
+
+
+# each verb's arguments for one full run, on committed inputs and, for the searches, tiny budgets
+FULL_RUN = {
+    "classify": ["--input", str(GOLDEN / "probabilities_3x3.json")],
+    "ri-intervals": ["--input", str(GOLDEN / "tangent.json")],
+    "tlm-check": ["--input", str(GOLDEN / "tangent.json")],
+    "epsilon": ["--input", str(GOLDEN / "tangent.json")],
+    "pr-demo": [],
+    "simulate": ["--input", str(GOLDEN / "simulate_pure.json")],
+    "quantum-bound": ["--input", str(GOLDEN / "simulate_pure.json")],
+    "chsh-r-tradeoff": ["--input", str(GOLDEN / "simulate_pure.json")],
+    "monogamy": ["--input", str(GOLDEN / "monogamy.json")],
+    "nparty": ["--input", str(GOLDEN / "nparty.json")],
+    "zeta-bound": ["--input", str(GOLDEN / "zeta_bound.json")],
+    "optimize": ["--restarts", "1", "--max-evals", "40"],
+    "eta-curve": ["--restarts", "1", "--max-evals", "40", "--etas", "0.5"],
+    "geometry": ["--input", str(GOLDEN / "tangent.json")],
+}
+
+
+class TestFlags:
+    """Each verb accepts only the flags it reads: ``main`` writes ``--out``, the handler reads the rest.
+
+    ``main``'s own check of ``--tol`` does not count as a read; the handler
+    has to pass the value on.
+    """
+
+    def test_every_verb_has_a_full_run(self):
+        assert list(FULL_RUN) == list(VERBS)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_every_accepted_flag_is_read(self, monkeypatch, capsys, verb):
+        reads, handler_reads = set(), set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        build = cli.build_parser
+
+        def recording_parser():
+            parser = build()
+            parse = parser.parse_args
+
+            def parse_args(argv=None):
+                args = parse(argv, namespace=Recording())
+                reads.clear()               # argparse itself reads while it fills in defaults
+                return args
+
+            parser.parse_args = parse_args
+            return parser
+
+        handler, reads_payload = cli._VERB_TABLE[verb]
+
+        def recording_handler(args):
+            reads.clear()
+            try:
+                return handler(args)
+            finally:
+                handler_reads.update(reads)
+                reads.clear()
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        monkeypatch.setitem(cli._VERB_TABLE, verb, (recording_handler, reads_payload))
+        assert main([verb, *FULL_RUN[verb]]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        [sub] = [a for a in build()._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {a.dest for a in sub.choices[verb]._actions if a.dest != "help"}
+        assert "out" in reads
+        assert accepted - handler_reads == {"out"}
+
+    @pytest.mark.parametrize("argv", [["pr-demo", "--tol", "1e-9"], ["pr-demo", "--seed", "1"],
+                                      ["classify", "--seed", "1"], ["optimize", "--tol", "1e-9"],
+                                      ["eta-curve", "--input", "-"]])
+    def test_flags_a_verb_does_not_read_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTol:
@@ -349,6 +447,44 @@ class TestMalformedTables:
     def test_scenario_whole_float_dims_accepted(self):
         assert decode_scenario(dict(scenario_payload(), dims=[2.0, 2])).dims == (2, 2)
 
+    @pytest.mark.parametrize("scale", [1e76, 1e100, 1e160])
+    @pytest.mark.parametrize("verb", ["simulate", "quantum-bound", "chsh-r-tradeoff", "simulate-tripartite"])
+    def test_observables_out_of_range(self, tmp_path, capsys, verb, scale):
+        # both of Alice's observables scaled: var0 var1 would overflow (a RuntimeWarning,
+        # an error here) or print NaN; exit 2 with the bound's message instead
+        if verb == "simulate-tripartite":
+            payload, verb = tripartite_payload(), "simulate"
+        else:
+            payload = scenario_payload()
+        payload["alice_obs"] = [{k: (scale * np.asarray(v)).tolist() for k, v in o.items()}
+                                for o in payload["alice_obs"]]
+        code, out, err = run_cli(capsys, verb, "--input", write_json(tmp_path, "s.json", payload))
+        assert code == 2 and out is None
+        assert json.loads(err)["error"].startswith("observable entries must be at most 1e75 in magnitude")
+
+    def test_observables_at_the_bound_accepted(self, tmp_path, capsys):
+        # dim 32, every entry of magnitude just under 1e75: both observables' variances
+        # near 1e152, so var0 var1 and |r_q|^2 approach 1e305 and stay finite
+        d = 32
+        j = np.ones((d, d))
+        a1 = j + 1j * (np.triu(j, 1) - np.tril(j, -1))
+        a1 = a1 / np.abs(a1).max()
+        psi_a = (np.ones(d) + np.where(np.arange(d) % 2, 1.0, -1.0)) / math.sqrt(d)
+        state = np.kron(psi_a + 0.1 * np.eye(d)[1], [math.cos(0.3), math.sin(0.3)])
+        def enc(m):
+            m = np.asarray(m, dtype=complex)
+            return {"re": m.real.tolist(), "im": m.imag.tolist()}
+        payload = {"dims": [d, 2], "state": enc(state / np.linalg.norm(state)),
+                   "alice_obs": [enc(9.99999e74 * j), enc(9.99999e74 * a1)],
+                   "bob_obs": [enc([[1.0, 0.0], [0.0, -1.0]]), enc([[0.0, 1.0], [1.0, 0.0]])]}
+        path = write_json(tmp_path, "s.json", payload)
+        for verb in ("simulate", "quantum-bound", "chsh-r-tradeoff"):
+            code, out, err = run_cli(capsys, verb, "--input", path)
+            assert code in (0, 1) and err == "", (verb, err)
+        code, out, _ = run_cli(capsys, "simulate", "--input", path)
+        check = out["uncertainty_check"]["a"]
+        assert 1e300 < check["lhs"] < math.inf and 1e300 < check["rhs"] < math.inf
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -479,21 +615,7 @@ class TestQuantumVerbs:
         assert out["total"] == pytest.approx(1.0, abs=1e-9)
 
     def test_simulate_tripartite(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi /= np.linalg.norm(psi)
-        def enc(m):
-            return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-        z = [[1.0, 0.0], [0.0, -1.0]]
-        x = [[0.0, 1.0], [1.0, 0.0]]
-        payload = {
-            "dims": [2, 2, 2],
-            "state": enc(psi),
-            "alice_obs": [{"re": z}, {"re": x}],
-            "bob_obs": [{"re": x}, {"re": z}],
-            "charlie_obs": [{"re": z}, {"re": x}],
-        }
-        path = write_json(tmp_path, "tri.json", payload)
+        path = write_json(tmp_path, "tri.json", tripartite_payload())
         code, out, _ = run_cli(capsys, "simulate", "--input", path)
         assert code == 0
         assert out["scenario"] == "tripartite"
@@ -558,6 +680,17 @@ class TestMultipartyVerbs:
         assert code == 0
         assert out["cap"] == pytest.approx(4.0)
         assert out["sum_abs_chsh"] == pytest.approx(1.2 + 0.8)
+
+    def test_nparty_precondition_uses_tol_as_given(self, tmp_path, capsys):
+        # the first context's block has smallest eigenvalue 1 - 1.0000000004^2, about -8e-10:
+        # within the default slack, outside 1e-12, with no 1e-9 floor under --tol
+        path = write_json(tmp_path, "np.json", {
+            "r_prime": 0, "experimenters": [{"first": [1.0000000004, 0], "second": [0, 0]}]})
+        code, out, err = run_cli(capsys, "nparty", "--input", path)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, "nparty", "--input", path, "--tol", "1e-12")
+        assert code == 2 and out is None
+        assert "context 'first' is not PSD" in json.loads(err)["error"]
 
     def test_zeta_bound(self, tmp_path, capsys):
         payload = {

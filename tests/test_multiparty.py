@@ -8,6 +8,7 @@ from conftest import (
     optimal_ab_with_idle_charlie,
     precondition_holds,
     random_nparty,
+    random_scenario,
     uncorrelated_bc_scenario,
 )
 from oracles import (
@@ -30,7 +31,7 @@ from bellri.multiparty import (
     zeta_bound_check,
     zeta_from_table,
 )
-from bellri.qmodel import moments, random_scenario, tripartite_moments, tsirelson_scenario
+from bellri.qmodel import moments, tripartite_moments, tsirelson_scenario
 from bellri.ri import tlm_check
 
 SQRT2 = math.sqrt(2.0)
@@ -279,6 +280,22 @@ class TestNParty:
                    "data not realizable under a common uncertainty parameter")
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             nparty_bound_check(npc, 0.0)
+
+    def test_precondition_tol_has_no_floor(self):
+        # smallest eigenvalue of the first block: 1 - 1.0000000004^2, about -8e-10
+        npc = NPartyCorrelators(rho_first=np.array([[1.0000000004, 0.0]]), rho_second=np.zeros((1, 2)))
+        assert nparty_bound_check(npc, 0.0)["n"] == 1
+        for tol in (1e-10, 1e-12):
+            with pytest.raises(PreconditionError, match="context 'first'"):
+                nparty_bound_check(npc, 0.0, tol=tol)
+
+    def test_chsh_values_match_the_written_sum(self):
+        # the shared CHSH combination adds in the order B_s is written, bit for bit
+        rng = np.random.default_rng(12)
+        for n in range(1, 40):
+            npc = random_nparty(rng, n)
+            f, s = npc.rho_first, npc.rho_second
+            np.testing.assert_array_equal(npc.chsh_values(), f[:, 0] + f[:, 1] + s[:, 0] - s[:, 1])
 
     def test_no_experimenters_rejected(self):
         with pytest.raises(MalformedInputError):

@@ -33,7 +33,7 @@ from bellri.optimizer import (
 from bellri.qmodel import moments
 
 SQRT8 = 2.0 * math.sqrt(2.0)
-TOL = OptConfig().tol
+TOL = optimizer.SIMPLEX_TOL
 FIELDS = ("mean_a", "mean_b", "var_a", "var_b", "cov", "pearson",
           "eta_a", "eta_b", "nu_a", "nu_b", "r_q_a", "r_q_b")
 BITS = Path(__file__).parent / "golden" / "optimizer_bits.json"
@@ -144,13 +144,10 @@ class TestMaximize:
 
     def test_bad_config_rejected(self):
         for bad in (
-            {"tol": float("nan")},
-            {"tol": float("inf")},
-            {"init_step": float("nan")},
-            {"init_step": float("inf")},
-            {"init_step": 0.0},
-            {"init_step": -0.1},
             {"refine_stages": -1},
+            {"restarts": 0},
+            {"max_evals": N_PARAMS + 1},
+            {"seed": -1},
         ):
             with pytest.raises(MalformedInputError):
                 OptConfig(**bad)

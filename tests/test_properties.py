@@ -18,6 +18,7 @@ from conftest import (
     precondition_holds,
     random_mixed_scenario,
     random_nparty,
+    random_scenario,
     random_table_payload,
     tangent_pearson,
 )
@@ -26,7 +27,7 @@ from oracles import bordered_oracle, tlm_arcsine_slack
 from bellri.cli import VERBS, decode_bipartite_table, main
 from bellri.correlators import CorrelatorTable, TripartiteCorrelatorTable, check_no_signaling
 from bellri.multiparty import zeta_bound_check
-from bellri.qmodel import moments, random_scenario
+from bellri.qmodel import moments
 from bellri.ri import (
     classify,
     emit_geometry,

@@ -7,7 +7,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import check_report, fresh_copy, random_density, random_mixed_scenario
+from conftest import (
+    check_report,
+    fresh_copy,
+    random_density,
+    random_mixed_scenario,
+    random_observable,
+    random_scenario,
+    random_state,
+)
 from oracles import (
     higher_moment_oracle,
     kron_expectation,
@@ -32,9 +40,6 @@ from bellri.qmodel import (
     pauli,
     quantum_cov_matrix,
     quantum_tlm_check,
-    random_observable,
-    random_scenario,
-    random_state,
     schrodinger_robertson_check,
     singlet_scenario,
     to_correlator_table,
