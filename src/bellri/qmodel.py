@@ -655,4 +655,3 @@ def truncated_oscillator_pair(dim: int = 24) -> tuple[Observable, Observable]:
     x = (a + a.conj().T) / math.sqrt(2.0)
     p = 1j * (a.conj().T - a) / math.sqrt(2.0)
     return Observable(x), Observable(p)
-
