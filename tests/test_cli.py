@@ -524,6 +524,60 @@ class TestMalformedTables:
             decode_tripartite_table(payload)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestMessageOrder:
+    """An input with two faults at once gets the message of the rule checked first."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("state", {"re": [NAN, 1.0, 0.0]}, "state has non-finite entries"),
+            ("state", {"re": [[NAN] * 3] * 3}, "state has non-finite entries"),
+            ("state", {"re": [1.0, 1.0, 0.0, 0.0]}, "state vector must be normalized within 1e-12"),
+            ("state", {"re": [1.0, 1.0, 0.0]}, "state vector must have length 4"),
+            ("alice_obs", [{"re": [[INF, 0.0], [0.0, 1.0]]}, {"re": [[1.0, 0.0], [0.0, -1.0]]}],
+             "observable has non-finite entries"),
+            ("alice_obs", [{"re": [[1.0, 0.0], [0.0, -1.0]]}, {"re": [[INF, 1e80], [1e80, 1.0]]}],
+             "observable has non-finite entries"),
+            ("bob_obs", [{"re": [[NAN, 1e80], [1e80, 1.0]]}, {"re": [[1.0, 0.0], [0.0, -1.0]]}],
+             "observable has non-finite entries"),
+            ("alice_obs", [{"re": [[1e308, 0.0], [0.0, 1.0]], "im": [[1e308, 0.0], [0.0, 0.0]]},
+                           {"re": [[1.0, 0.0], [0.0, -1.0]]}],
+             "observable entries must be at most 1e75 in magnitude, got 1.41421e+308"),
+            ("alice_obs", [{"re": [[1e76, 1.0], [0.0, 1.0]]}, {"re": [[1.0, 0.0], [0.0, -1.0]]}],
+             "observable entries must be at most 1e75 in magnitude, got 1e+76"),
+        ],
+    )
+    def test_scenario(self, tmp_path, capsys, field, value, message):
+        payload = dict(scenario_payload(), **{field: value})
+        with pytest.raises(MalformedInputError) as exc:
+            decode_scenario(payload)
+        assert str(exc.value) == message
+        code, out, err = run_cli(capsys, "simulate", "--input", write_json(tmp_path, "s.json", payload))
+        assert code == 2 and out is None
+        assert json.loads(err) == {"error": message}
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ([NAN, 2.0], [0.0, 0.0], "rho_first must be a finite (n, 2) array"),
+            ([0.5, 2.0], [NAN, 0.0], "rho_first entries must lie in [-1, 1]"),
+            ([2.0, 0.0], [INF, 0.0], "rho_first entries must lie in [-1, 1]"),
+            ([0.0, 0.0], [NAN, 2.0], "rho_second must be a finite (n, 2) array"),
+        ],
+    )
+    def test_nparty(self, tmp_path, capsys, first, second, message):
+        payload = {"r_prime": 0.0, "experimenters": [{"first": first, "second": second}]}
+        with pytest.raises(MalformedInputError) as exc:
+            decode_nparty(payload)
+        assert str(exc.value) == message
+        code, out, err = run_cli(capsys, "nparty", "--input", write_json(tmp_path, "n.json", payload))
+        assert code == 2 and out is None
+        assert json.loads(err) == {"error": message}
+
+
 class TestMalformedArguments:
     """Bad options raise MalformedInputError, and the CLI exits 2 with nothing on stdout."""
 

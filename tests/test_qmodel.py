@@ -1,9 +1,12 @@
 """Quantum simulator tests: moments, uncertainty checks, bounds, constructions."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from bellri import qmodel
 from bellri.correlators import chsh_max, from_probability_table
 from bellri.errors import DegenerateScenarioError, MalformedInputError
 from bellri.linalg import eigenvalues_sym, is_psd
+from bellri.multiparty import nparty_from_pairs
 from bellri.qmodel import (
     Observable,
     QuantumScenario,
@@ -700,3 +704,92 @@ def _qutrit_scenario(rng):
         alice_obs=(random_observable(rng, 3), random_observable(rng, 3)),
         bob_obs=(bloch_observable(1.0, 0.0), bloch_observable(2.0, 1.0)),
     )
+
+
+MOMENTS_BITS = Path(__file__).parent / "golden" / "moments_bits.json"
+
+
+def _bits(x):
+    """The type and ``float.hex`` of every number in ``x``: an array, a tuple, a float or a complex."""
+    if isinstance(x, np.ndarray):
+        return [f"{x.dtype}{list(x.shape)}", [_bits(v) for v in x.ravel().tolist()]]
+    if isinstance(x, tuple):
+        return [_bits(v) for v in x]
+    if type(x) is complex:
+        return [x.real.hex(), x.imag.hex()]
+    return f"{type(x).__name__}:{float(x).hex()}"
+
+
+def _nearly_hermitian(rng, d):
+    """A GUE matrix plus an anti-Hermitian part of 1e-14, so the stored symmetrization shows."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    k = 1e-14 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return 0.5 * (g + g.conj().T) + (k - k.conj().T)
+
+
+def _bits_scenario(rng, dims, mixed):
+    n = math.prod(dims)
+    state = random_density(rng, n, n) if mixed else random_state(rng, n)
+    obs = [(_nearly_hermitian(rng, d), _nearly_hermitian(rng, d)) for d in dims]
+    return QuantumScenario(dims=dims, state=state, **dict(zip(("alice_obs", "bob_obs", "charlie_obs"), obs)))
+
+
+def _digest(a: np.ndarray) -> str:
+    """A stored array's dtype, shape and the SHA-256 of its bytes."""
+    return f"{a.dtype}{list(a.shape)}:{hashlib.sha256(a.tobytes()).hexdigest()}"
+
+
+def _scenario_bits(sc) -> dict:
+    pairs = [p for p in (sc.alice_obs, sc.bob_obs, sc.charlie_obs) if p is not None]
+    rec = {"state": _digest(sc.state), "obs": [[_digest(o.matrix) for o in p] for p in pairs]}
+    if sc.n_parties == 3:
+        tm = tripartite_moments(sc)
+        rec["tripartite_moments"] = {f.name: _bits(getattr(tm, f.name)) for f in fields(tm)}
+    else:
+        mom = moments(sc)
+        rec["moments"] = {f.name: _bits(getattr(mom, f.name)) for f in fields(mom)}
+    return rec
+
+
+def moments_bit_record() -> dict:
+    """Every bit of the moments of a fixed matrix of scenarios, and of n-party compositions.
+
+    ``tests/golden/moments_bits.json`` is this record, written with
+    ``json.dumps(moments_bit_record(), indent=1)``; regenerate it only for an
+    intended change of the moments' arithmetic.
+    """
+    rng = np.random.default_rng(4242)
+    rec = {}
+    for dims in ((2, 2), (2, 3), (3, 2), (2, 16), (16, 2), (5, 7), (8, 8), (16, 16)):
+        rec[f"pure {dims}"] = _scenario_bits(_bits_scenario(rng, dims, mixed=False))
+    for dims in ((2, 2), (2, 5), (5, 2), (3, 8), (8, 8)):
+        rec[f"mixed {dims}"] = _scenario_bits(_bits_scenario(rng, dims, mixed=True))
+    for dims, mixed in (((2, 2, 2), True), ((2, 2, 2), False), ((3, 2, 4), False)):
+        rec[f"{'mixed' if mixed else 'pure'} {dims}"] = _scenario_bits(_bits_scenario(rng, dims, mixed))
+    # plain inputs: a real state vector and real observable lists, as a decoder may pass them
+    real = QuantumScenario(dims=[3, 2], state=ket(*rng.normal(size=6)).real,
+                           alice_obs=(random_observable(rng, 3).matrix.real.tolist(), np.diag([1.0, 0.0, -1.0])),
+                           bob_obs=(pauli["x"].real.tolist(), [[0.5, 0.25], [0.25, -1.0]]))
+    rec["pure real inputs"] = _scenario_bits(real)
+    # the other callers of the route: outcome tables through _pair_block, and the
+    # higher-moment check through _reduced and _party_moments
+    qubits = random_scenario(rng, kind="bloch")
+    rec["outcome_distribution"] = _bits(outcome_distribution(qubits).p)
+    rec["higher_moment"] = {f"i={i} m={m}": {k: _bits(v) for k, v in higher_moment_uncertainty_check(real, i, m).items()}
+                            for i in (0, 1) for m in (2, 3)}
+    # 8 or more pairs: NumPy sums the means' terms pairwise, in blocks of 8 (4 complex)
+    pairs = []
+    for s in range(1, 30):
+        pairs.append(moments(random_scenario(rng, kind="bloch" if s % 2 else "gue")))
+        if s <= 9 or s in (13, 29):
+            npc, r_prime = nparty_from_pairs(pairs)
+            rec[f"nparty {s}"] = {"rho_first": _bits(npc.rho_first),
+                                  "rho_second": _bits(npc.rho_second), "r_prime": _bits(r_prime)}
+    return rec
+
+
+class TestMomentsBitIdentity:
+    def test_moments_match_golden_bits(self):
+        # any change to the constructors' stored arrays or to the moments route
+        # shows here as a changed bit, not as a drift inside a tolerance
+        assert moments_bit_record() == json.loads(MOMENTS_BITS.read_text(encoding="utf-8"))
