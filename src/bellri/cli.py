@@ -379,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default="-", help="JSON file path, or - for stdin")
             p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", default=None, help="also write the JSON result here")
-        if verb in ("optimize", "eta-curve"):
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--restarts", type=int, default=24)
-            p.add_argument("--max-evals", type=int, default=2000, dest="max_evals")
+        if verb in ("optimize", "eta-curve"):      # one default per knob: OptConfig's
+            p.add_argument("--seed", type=int, default=optimizer.OptConfig.seed)
+            p.add_argument("--restarts", type=int, default=optimizer.OptConfig.restarts)
+            p.add_argument("--max-evals", type=int, default=optimizer.OptConfig.max_evals, dest="max_evals")
         if verb == "eta-curve":
             p.add_argument(
                 "--etas", default="0,0.25,0.5,0.7071067811865476,0.9",

@@ -26,8 +26,7 @@ __all__ = ["is_psd", "eigenvalues_sym"]
 
 def _coerce(m) -> np.ndarray:
     """Validate ``m`` and return its average with its (conjugate) transpose."""
-    a = np.asarray(m)
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    a = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MalformedInputError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:

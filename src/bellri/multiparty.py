@@ -152,12 +152,12 @@ class NPartyCorrelators:
 
     def __post_init__(self) -> None:
         for name in ("rho_first", "rho_second"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
-            if m.ndim != 2 or m.shape[1] != 2 or not np.all(np.isfinite(m)):
+            m = np.array(getattr(self, name), dtype=np.float64)
+            entries = m.ravel().tolist()
+            if m.ndim != 2 or m.shape[1] != 2 or not all(map(math.isfinite, entries)):
                 raise MalformedInputError(f"{name} must be a finite (n, 2) array")
-            if np.any(np.abs(m) > 1.0 + 1e-9):
+            if any(abs(x) > 1.0 + 1e-9 for x in entries):
                 raise MalformedInputError(f"{name} entries must lie in [-1, 1]")
-            m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, name, m)
         if self.rho_first.shape != self.rho_second.shape:
@@ -228,18 +228,16 @@ def nparty_from_pairs(pair_moments: list[QuantumMoments]) -> tuple[NPartyCorrela
     n = len(pair_moments)
     if n == 0:
         raise MalformedInputError("at least one pair is required")
-    var0 = float(np.mean([m.var_a[0] for m in pair_moments]))
-    var1 = float(np.mean([m.var_a[1] for m in pair_moments]))
-    r_q = complex(np.mean([m.r_q_a for m in pair_moments]))
+    # each record once, as Python floats; the means add as np.mean does (pairwise, row by row)
+    var_a, var_b, cov = zip(*[(m.var_a.tolist(), m.var_b.tolist(), m.cov.tolist()) for m in pair_moments])
+    var0, var1 = (np.add.reduce(list(zip(*var_a)), axis=1) / n).tolist()
+    r_q = complex(np.add.reduce([m.r_q_a for m in pair_moments]) / n)
     r_prime = r_q.real / math.sqrt(var0 * var1)
-    rho_first = np.empty((n, 2))
-    rho_second = np.empty((n, 2))
-    sqrt_n = math.sqrt(n)
-    for s, m in enumerate(pair_moments):
-        sig_b = np.sqrt(m.var_b)
-        # contexts: experimenter s uses setting 0 in the first slot, 1 in the second
-        rho_first[s, 0] = m.cov[0, 0] / (sqrt_n * math.sqrt(var0) * sig_b[0])
-        rho_first[s, 1] = m.cov[1, 0] / (sqrt_n * math.sqrt(var1) * sig_b[0])
-        rho_second[s, 0] = m.cov[0, 1] / (sqrt_n * math.sqrt(var0) * sig_b[1])
-        rho_second[s, 1] = m.cov[1, 1] / (sqrt_n * math.sqrt(var1) * sig_b[1])
-    return NPartyCorrelators(rho_first=rho_first, rho_second=rho_second), float(r_prime)
+    norm0, norm1 = math.sqrt(n) * math.sqrt(var0), math.sqrt(n) * math.sqrt(var1)
+    rho_first, rho_second = [], []
+    for (vb0, vb1), ((c00, c01), (c10, c11)) in zip(var_b, cov):
+        sig0, sig1 = math.sqrt(vb0), math.sqrt(vb1)
+        # contexts: each experimenter uses setting 0 in the first slot, 1 in the second
+        rho_first.append((c00 / (norm0 * sig0), c10 / (norm1 * sig0)))
+        rho_second.append((c01 / (norm0 * sig1), c11 / (norm1 * sig1)))
+    return NPartyCorrelators(rho_first=rho_first, rho_second=rho_second), r_prime

@@ -24,6 +24,15 @@ A bipartite scenario's moments are computed once, on the first request, and
 kept on the scenario: ``moments`` and every check that takes the scenario
 share that one record, whose arrays are read-only.
 
+Construction reports the first rule an input breaks. ``Observable``: square,
+dimension 2..32, finite, entries at most 1e75, Hermitian within 1e-12
+relative; one abs().max() passes both entry rules, and only a matrix that
+fails it is scanned for NaN and inf. ``QuantumScenario``: dims, the state
+(finite; a vector's length and norm, or a density matrix's shape,
+Hermiticity, trace and eigenvalues), then the observables. One norm passes a
+finite, normalized vector of the right length; the ordered checks run only
+when it fails.
+
 Internally hbar = 1; the position-momentum demonstration computes its
 commutator term from the realized expectation value rather than assuming it,
 since an exact canonical pair does not exist in finite dimension.
@@ -97,16 +106,17 @@ class Observable:
             raise MalformedInputError(f"observable must be square, got {m.shape}")
         if not (2 <= m.shape[0] <= MAX_OBS_DIM):
             raise MalformedInputError(f"observable dimension must be 2..{MAX_OBS_DIM}")
-        if not np.all(np.isfinite(m)):
-            raise MalformedInputError("observable has non-finite entries")
-        scale = float(np.abs(m).max())
-        if scale > _OBSERVABLE_MAX:
+        scale = np.abs(m).max()
+        if not scale <= _OBSERVABLE_MAX:            # NaN and inf fail here too
+            if not np.isfinite(m).all():
+                raise MalformedInputError("observable has non-finite entries")
             raise MalformedInputError(
                 f"observable entries must be at most 1e75 in magnitude, got {scale:.6g}"
             )
-        if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, scale):
+        adj = m.conj().T
+        if np.abs(m - adj).max() > 1e-12 * max(1.0, scale):
             raise MalformedInputError("observable is not Hermitian within 1e-12")
-        m = 0.5 * (m + m.conj().T)
+        m = 0.5 * (m + adj)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -126,21 +136,22 @@ class QuantumScenario:
     charlie_obs: tuple[Observable, Observable] | None = None
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         if not (1 <= len(dims) <= 3):
             raise MalformedInputError("dims must list one to three parties")
-        if not all(2 <= d <= MAX_OBS_DIM for d in dims):
+        if not (2 <= min(dims) and max(dims) <= MAX_OBS_DIM):
             raise MalformedInputError(f"party dims must lie in 2..{MAX_OBS_DIM}, got {list(dims)}")
-        total = int(np.prod(dims))
-        state = np.asarray(self.state, dtype=np.complex128)
-        if not np.all(np.isfinite(state)):
-            raise MalformedInputError("state has non-finite entries")
-        if state.ndim == 1:
-            if state.shape != (total,):
-                raise MalformedInputError(f"state vector must have length {total}")
-            if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+        total = math.prod(dims)
+        state = np.array(self.state, dtype=np.complex128)
+        if state.shape != (total,) or not abs(np.linalg.norm(state) - 1.0) <= 1e-12:
+            if not np.isfinite(state).all():
+                raise MalformedInputError("state has non-finite entries")
+            if state.ndim == 1:
+                if state.shape != (total,):
+                    raise MalformedInputError(f"state vector must have length {total}")
                 raise MalformedInputError("state vector must be normalized within 1e-12")
-        elif state.ndim == 2:
+            if state.ndim != 2:
+                raise MalformedInputError("state must be a vector or a square matrix")
             if state.shape != (total, total):
                 raise MalformedInputError(f"density matrix must be {total}x{total}")
             if np.abs(state - state.conj().T).max() > 1e-12 * max(1.0, float(np.abs(state).max())):
@@ -149,15 +160,11 @@ class QuantumScenario:
                 raise MalformedInputError("density matrix must have unit trace within 1e-12")
             if float(np.linalg.eigvalsh(state)[0]) < -1e-10:
                 raise MalformedInputError("density matrix must be PSD within 1e-10")
-        else:
-            raise MalformedInputError("state must be a vector or a square matrix")
-        state = state.copy()
         state.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "state", state)
 
-        obs_sets = [("alice_obs", 0), ("bob_obs", 1), ("charlie_obs", 2)]
-        for name, party in obs_sets:
+        for party, name in enumerate(("alice_obs", "bob_obs", "charlie_obs")):
             obs = getattr(self, name)
             if obs is None:
                 if party < len(dims):
@@ -165,7 +172,7 @@ class QuantumScenario:
                 continue
             if party >= len(dims):
                 raise MalformedInputError(f"{name} given but dims {dims} has no such party")
-            obs = tuple(o if isinstance(o, Observable) else Observable(o) for o in obs)
+            obs = tuple([o if isinstance(o, Observable) else Observable(o) for o in obs])
             if len(obs) != 2:
                 raise MalformedInputError(f"{name} must contain exactly two observables")
             for o in obs:
@@ -199,7 +206,7 @@ def _reduced(sc: QuantumScenario, p: int) -> np.ndarray:
     """
     if sc.is_pure:
         m = sc.state.reshape(sc.dims).swapaxes(0, p).reshape(sc.dims[p], -1)
-        return m @ m.conj().T
+        return m.dot(m.conj().T)
     t = sc.state.reshape(sc.dims * 2)
     for q in reversed(range(sc.n_parties)):
         if q != p:
@@ -218,10 +225,11 @@ def _pair_block(sc: QuantumScenario, p: int, q: int, mats_p, mats_q) -> np.ndarr
     if sc.is_pure:
         rest = [r for r in range(sc.n_parties) if r not in (p, q)]
         m = sc.state.reshape(sc.dims).transpose(*rest, p, q)
+        mul = np.matmul if rest else np.ndarray.dot    # .dot does not broadcast over a third party
         for i, a in enumerate(mats_p):
-            am = a @ m
+            am = mul(a, m)
             for j, b in enumerate(mats_q):
-                out[i, j] = np.vdot(m, am @ b.T).real
+                out[i, j] = np.vdot(m, mul(am, b.T)).real
         return out
     t = sc.state.reshape(sc.dims * 2)
     for r in reversed(range(sc.n_parties)):
@@ -235,6 +243,7 @@ def _pair_block(sc: QuantumScenario, p: int, q: int, mats_p, mats_q) -> np.ndarr
 
 def _normalized_pair(var, r_q: complex, label: str) -> tuple[float, float]:
     """(nu, eta) of one party's pair; raises when either variance is at the floor."""
+    var = var.tolist()
     for which in (0, 1):
         if var[which] <= _VAR_FLOOR:
             raise DegenerateScenarioError(
@@ -262,55 +271,47 @@ class QuantumMoments:
     r_q_b: complex
 
 
-def _party_moments(rho: np.ndarray, mats) -> dict:
+def _party_moments(rho: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray, complex]:
     """Means, variances, and the complex pair moment r_q = <X1 X0> - <X1><X0>.
 
     ``rho`` is the party's reduced density matrix and ``mats`` its two
     observables' matrices. tr(rho M) contracts as sum over rho[x, y] M[y, x],
-    i.e. the plain dot of rho.T with M flattened, no conjugation.
+    i.e. the plain dot of rho.T with M flattened, no conjugation; ``.dot`` on
+    these operands is the BLAS call of ``@``, bit for bit, without its dispatch.
     """
-    rho_t = np.ascontiguousarray(rho.T).ravel()
-    m = []
-    m2 = []
-    for om in mats:
-        m.append(float((rho_t @ om.ravel()).real))
-        m2.append(float((rho_t @ (om @ om).ravel()).real))
-    var = [max(b - a * a, 0.0) for b, a in zip(m2, m)]
-    x1x0 = complex(rho_t @ (mats[1] @ mats[0]).ravel())
-    return {"mean": np.array(m), "var": np.array(var), "r_q": x1x0 - m[1] * m[0]}
+    rho_t = rho.T.ravel()                       # a C-order copy
+    x0, x1 = mats
+    m0 = float(rho_t.dot(x0.ravel()).real)
+    m1 = float(rho_t.dot(x1.ravel()).real)
+    v0 = max(float(rho_t.dot(x0.dot(x0).ravel()).real) - m0 * m0, 0.0)
+    v1 = max(float(rho_t.dot(x1.dot(x1).ravel()).real) - m1 * m1, 0.0)
+    r_q = complex(rho_t.dot(x1.dot(x0).ravel())) - m1 * m0
+    return np.array([m0, m1]), np.array([v0, v1]), r_q
 
 
-def _scenario_moments(sc: QuantumScenario) -> tuple[list[dict], dict]:
-    """Each party's ``_party_moments`` and, keyed (p, q) with p < q, each pair's covariances."""
-    n = sc.n_parties
-    mats = [[o.matrix for o in pair] for pair in (sc.alice_obs, sc.bob_obs, sc.charlie_obs)[:n]]
-    parts = [_party_moments(_reduced(sc, p), mats[p]) for p in range(n)]
-    cov = {
-        (p, q): _pair_block(sc, p, q, mats[p], mats[q])
-        - parts[p]["mean"][:, None] * parts[q]["mean"]
-        for p in range(n)
-        for q in range(p + 1, n)
-    }
-    return parts, cov
+def _covariances(sc: QuantumScenario, p: int, q: int, mats, means) -> np.ndarray:
+    """C(A_i, B_j) = Re<A_i x B_j> - <A_i><B_j> for party p's A and party q's B."""
+    return _pair_block(sc, p, q, mats[p], mats[q]) - means[p][:, None] * means[q]
 
 
 def _compute_moments(sc: QuantumScenario) -> QuantumMoments:
     """All bipartite moment data; raises when a needed variance vanishes."""
     if sc.n_parties != 2:
         raise MalformedInputError("moments expects a bipartite scenario")
-    (pa, pb), covs = _scenario_moments(sc)
-    cov = covs[0, 1]
-    nu_a, eta_a = _normalized_pair(pa["var"], pa["r_q"], "A")
-    nu_b, eta_b = _normalized_pair(pb["var"], pb["r_q"], "B")
-    sig = np.sqrt(np.outer(pa["var"], pb["var"]))
-    pearson = cov / sig
-    for a in (pa["mean"], pb["mean"], pa["var"], pb["var"], cov, pearson):
+    mats = [o.matrix for o in sc.alice_obs], [o.matrix for o in sc.bob_obs]
+    mean_a, var_a, r_q_a = _party_moments(_reduced(sc, 0), mats[0])
+    mean_b, var_b, r_q_b = _party_moments(_reduced(sc, 1), mats[1])
+    nu_a, eta_a = _normalized_pair(var_a, r_q_a, "A")
+    nu_b, eta_b = _normalized_pair(var_b, r_q_b, "B")
+    cov = _covariances(sc, 0, 1, mats, (mean_a, mean_b))
+    pearson = cov / np.sqrt(var_a[:, None] * var_b)
+    for a in (mean_a, mean_b, var_a, var_b, cov, pearson):
         a.setflags(write=False)
     return QuantumMoments(
-        mean_a=pa["mean"], mean_b=pb["mean"], var_a=pa["var"], var_b=pb["var"],
+        mean_a=mean_a, mean_b=mean_b, var_a=var_a, var_b=var_b,
         cov=cov, pearson=pearson,
         eta_a=eta_a, eta_b=eta_b, nu_a=nu_a, nu_b=nu_b,
-        r_q_a=pa["r_q"], r_q_b=pb["r_q"],
+        r_q_a=r_q_a, r_q_b=r_q_b,
     )
 
 
@@ -355,12 +356,14 @@ class TripartiteMoments:
 def tripartite_moments(sc: QuantumScenario) -> TripartiteMoments:
     if sc.n_parties != 3:
         raise MalformedInputError("tripartite_moments expects three parties")
-    parts, cov = _scenario_moments(sc)
+    mats = [[o.matrix for o in pair] for pair in (sc.alice_obs, sc.bob_obs, sc.charlie_obs)]
+    means, variances, r_q = zip(*(_party_moments(_reduced(sc, p), mats[p]) for p in range(3)))
     return TripartiteMoments(
-        means=tuple(p["mean"] for p in parts),
-        vars=tuple(p["var"] for p in parts),
-        cov_ab=cov[0, 1], cov_ac=cov[0, 2], cov_bc=cov[1, 2],
-        r_q_a=parts[0]["r_q"],
+        means=means, vars=variances,
+        cov_ab=_covariances(sc, 0, 1, mats, means),
+        cov_ac=_covariances(sc, 0, 2, mats, means),
+        cov_bc=_covariances(sc, 1, 2, mats, means),
+        r_q_a=r_q[0],
     )
 
 
@@ -502,7 +505,7 @@ def higher_moment_uncertainty_check(
         )
     rho = _reduced(sc, 0)
     expect = lambda op: complex(np.trace(rho @ op))
-    pa = _party_moments(rho, mats)
+    mean, var, r_q = _party_moments(rho, mats)
     d = np.linalg.matrix_power(mats[i], m)
     mean_d = expect(d).real
     m2_d = expect(d @ d).real
@@ -513,8 +516,8 @@ def higher_moment_uncertainty_check(
             f"A_{i}^{m} has vanishing variance (proportional to identity on the state); "
             "pick an odd power or a higher-dimensional observable"
         )
-    c = [expect(mats[k] @ d) - pa["mean"][k] * mean_d for k in (0, 1)]
-    nu_raw = pa["r_q"].real
+    c = [expect(mats[k] @ d) - mean[k] * mean_d for k in (0, 1)]
+    nu_raw = r_q.real
     if sign == "auto":
         s = -1.0 if nu_raw > 0 else 1.0
         rhs_basic = 2.0 * abs(nu_raw)
@@ -522,7 +525,7 @@ def higher_moment_uncertainty_check(
         s = float(sign)
         rhs_basic = -2.0 * s * nu_raw
     enhancement = float(abs(c[1] + s * c[0]) ** 2 / var_d)
-    lhs = float(pa["var"][0] + pa["var"][1])
+    lhs = float(var[0] + var[1])
     rhs_enhanced = rhs_basic + enhancement
     return {
         "lhs": lhs,

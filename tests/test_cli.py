@@ -23,7 +23,7 @@ from bellri.cli import (
     main,
 )
 from bellri.errors import MalformedInputError
-from bellri.optimizer import trace_eta_curve
+from bellri.optimizer import OptConfig, trace_eta_curve
 from bellri.qmodel import tsirelson_scenario
 from bellri.ri import tripartite_r_intervals
 
@@ -201,6 +201,12 @@ class TestFlags:
         accepted = {a.dest for a in sub.choices[verb]._actions if a.dest != "help"}
         assert "out" in reads
         assert accepted - handler_reads == {"out"}
+
+    @pytest.mark.parametrize("verb", ["optimize", "eta-curve"])
+    def test_search_defaults_are_optconfig_defaults(self, verb):
+        args = cli.build_parser().parse_args([verb])
+        want = OptConfig()
+        assert (args.restarts, args.max_evals, args.seed) == (want.restarts, want.max_evals, want.seed)
 
     @pytest.mark.parametrize("argv", [["pr-demo", "--tol", "1e-9"], ["pr-demo", "--seed", "1"],
                                       ["classify", "--seed", "1"], ["optimize", "--tol", "1e-9"],
