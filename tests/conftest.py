@@ -216,6 +216,25 @@ def tangent_pearson(rng) -> list:
     return [[math.cos(a), math.cos(x)], [math.cos(b), math.cos(s - x)]]
 
 
+def float_bits(x):
+    """The type and ``float.hex`` of every number in ``x``.
+
+    ``x`` is an array, a tuple or list, a dict of such values, a float, an int,
+    a bool, a complex or None.
+    """
+    if isinstance(x, np.ndarray):
+        return [f"{x.dtype}{list(x.shape)}", [float_bits(v) for v in x.ravel().tolist()]]
+    if isinstance(x, (tuple, list)):
+        return [float_bits(v) for v in x]
+    if isinstance(x, dict):
+        return {k: float_bits(v) for k, v in x.items()}
+    if x is None:
+        return None
+    if type(x) is complex:
+        return [x.real.hex(), x.imag.hex()]
+    return f"{type(x).__name__}:{float(x).hex()}"
+
+
 def lhv_probabilities(weights) -> np.ndarray:
     """p[i, j, a, b] of a mixture of the 16 deterministic strategies, outcomes (-1, +1)."""
     p = np.zeros((2, 2, 2, 2))

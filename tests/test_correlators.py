@@ -1,7 +1,12 @@
 """Correlation data model tests: moments, CHSH, no-signaling."""
 
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import float_bits
 from oracles import probability_fault_oracle, table_fault_oracle, tripartite_fault_oracle
 
 from bellri.correlators import (
@@ -16,6 +21,7 @@ from bellri.correlators import (
     pr_box_table,
 )
 from bellri.errors import DegenerateDataError, MalformedInputError
+from bellri.lhv import LhvEnsemble, correlators_of, statistics_of
 
 
 def random_probability_table(rng, na=None, nb=None):
@@ -242,3 +248,96 @@ class TestNoSignaling:
         assert report["worst_alice"]["marginals"] == [0.5, 0.8] or report[
             "worst_alice"
         ]["marginals"] == [0.5, 0.2]
+
+
+TABLE_BITS = Path(__file__).parent / "golden" / "table_bits.json"
+CONCENTRATIONS = (0.05, 0.3, 1.0, 2.0)
+
+
+def _alphabet(rng, n):
+    return np.sort(rng.normal(size=n) * rng.uniform(0.5, 3.0))
+
+
+def _local_table(rng, oa, ob, concentration):
+    """A no-signalling table: a mixture of deterministic outcome assignments a(i), b(j)."""
+    na, nb = len(oa), len(ob)
+    w = rng.dirichlet(np.full(na * na * nb * nb, concentration)).reshape(na, na, nb, nb)
+    p = np.zeros((2, 2, na, nb))
+    for (a0, a1, b0, b1), x in np.ndenumerate(w):
+        for i, a in enumerate((a0, a1)):
+            for j, b in enumerate((b0, b1)):
+                p[i, j, a, b] += x
+    return ProbabilityTable(outcomes_a=oa, outcomes_b=ob, p=p)
+
+
+def _table_fields(ct):
+    return {f.name: float_bits(getattr(ct, f.name)) for f in fields(ct)}
+
+
+def _probability_bits(pt):
+    return {"from_probability_table": _table_fields(from_probability_table(pt)),
+            "check_no_signaling": float_bits(check_no_signaling(pt)),
+            "check_no_signaling tol=0": float_bits(check_no_signaling(pt, tol=0.0))}
+
+
+def _ensemble_bits(weights):
+    ens = LhvEnsemble(weights)
+    stats = statistics_of(ens)
+    rec = {f.name: float_bits(getattr(stats, f.name)) for f in fields(stats) if f.name != "table"}
+    rec["r_prime"] = float_bits(stats.r_prime)
+    return {"correlators_of": _table_fields(correlators_of(ens)),
+            "statistics_of": dict(table=_table_fields(stats.table), **rec)}
+
+
+def table_bit_record() -> dict:
+    """Every bit of the table path on a fixed matrix of probability tables and ensembles.
+
+    Probability tables: 1 to 4 outcomes per party, arbitrary alphabets and
+    +-1, Dirichlet concentrations 0.05 to 2, signalling (one draw per
+    context) and no-signalling (a local mixture) tables, and tables whose
+    largest marginal discrepancies tie. Ensembles: point masses, near point
+    masses and Dirichlet draws. ``tests/golden/table_bits.json`` is this
+    record, written with ``json.dumps(table_bit_record(), indent=1)``;
+    regenerate it only for an intended change of the tables' arithmetic.
+    """
+    rng = np.random.default_rng(2020)
+    rec = {}
+    for na in range(1, 5):
+        for nb in range(1, 5):
+            c = CONCENTRATIONS[(na + nb) % 4]
+            oa, ob = _alphabet(rng, na), _alphabet(rng, nb)
+            p = rng.dirichlet(np.full(na * nb, c), size=4).reshape(2, 2, na, nb)
+            rec[f"signalling {na}x{nb} c={c}"] = _probability_bits(ProbabilityTable(oa, ob, p))
+            rec[f"local {na}x{nb} c={c}"] = _probability_bits(_local_table(rng, oa, ob, c))
+    pm = np.array([-1.0, 1.0])
+    for c in CONCENTRATIONS:
+        p = rng.dirichlet(np.full(4, c), size=4).reshape(2, 2, 2, 2)
+        rec[f"signalling +-1 c={c}"] = _probability_bits(ProbabilityTable(pm, pm, p))
+        rec[f"local +-1 c={c}"] = _probability_bits(_local_table(rng, pm, pm, c))
+    # Alice's and Bob's discrepancies tie at 0.5 across outcomes and settings, and
+    # a 3-outcome Alice ties at 0.25 on (0, 1), (0, 2), (1, 0) and (1, 1): the first index wins
+    rec["tie 2x2"] = _probability_bits(ProbabilityTable(pm, pm, [
+        [[[0.5, 0.25], [0.25, 0.0]], [[0.25, 0.0], [0.5, 0.25]]],
+        [[[0.0, 0.25], [0.25, 0.5]], [[0.25, 0.5], [0.0, 0.25]]]]))
+    rec["tie 3x1"] = _probability_bits(ProbabilityTable([-1.0, 0.0, 2.0], [1.0], [
+        [[[0.5], [0.25], [0.25]], [[0.5], [0.5], [0.0]]],
+        [[[0.25], [0.5], [0.25]], [[0.5], [0.25], [0.25]]]]))
+    rec["pr box"] = _probability_bits(pr_box_table())
+    for k in (0, 6, 9, 15):
+        rec[f"point {k}"] = _ensemble_bits(np.eye(16)[k])
+    for k, d in ((3, 1e-3), (6, 1e-6), (12, 1e-8)):
+        w = np.full(16, d / 15)
+        w[k] = 1.0 - d
+        rec[f"near point {k} d={d}"] = _ensemble_bits(w)
+    rec["uniform"] = _ensemble_bits(np.full(16, 1 / 16))
+    for c in CONCENTRATIONS:
+        for n in range(3):
+            rec[f"dirichlet c={c} #{n}"] = _ensemble_bits(rng.dirichlet(np.full(16, c)))
+    return rec
+
+
+class TestTableBitIdentity:
+    def test_tables_match_golden_bits(self):
+        # any change to the table path's arithmetic or to its stored arrays
+        # shows here as a changed bit, not as a drift inside a tolerance
+        assert table_bit_record() == json.loads(TABLE_BITS.read_text(encoding="utf-8"))

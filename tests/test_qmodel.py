@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import (
     check_report,
+    float_bits,
     fresh_copy,
     random_density,
     random_mixed_scenario,
@@ -709,17 +710,6 @@ def _qutrit_scenario(rng):
 MOMENTS_BITS = Path(__file__).parent / "golden" / "moments_bits.json"
 
 
-def _bits(x):
-    """The type and ``float.hex`` of every number in ``x``: an array, a tuple, a float or a complex."""
-    if isinstance(x, np.ndarray):
-        return [f"{x.dtype}{list(x.shape)}", [_bits(v) for v in x.ravel().tolist()]]
-    if isinstance(x, tuple):
-        return [_bits(v) for v in x]
-    if type(x) is complex:
-        return [x.real.hex(), x.imag.hex()]
-    return f"{type(x).__name__}:{float(x).hex()}"
-
-
 def _nearly_hermitian(rng, d):
     """A GUE matrix plus an anti-Hermitian part of 1e-14, so the stored symmetrization shows."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -744,10 +734,10 @@ def _scenario_bits(sc) -> dict:
     rec = {"state": _digest(sc.state), "obs": [[_digest(o.matrix) for o in p] for p in pairs]}
     if sc.n_parties == 3:
         tm = tripartite_moments(sc)
-        rec["tripartite_moments"] = {f.name: _bits(getattr(tm, f.name)) for f in fields(tm)}
+        rec["tripartite_moments"] = {f.name: float_bits(getattr(tm, f.name)) for f in fields(tm)}
     else:
         mom = moments(sc)
-        rec["moments"] = {f.name: _bits(getattr(mom, f.name)) for f in fields(mom)}
+        rec["moments"] = {f.name: float_bits(getattr(mom, f.name)) for f in fields(mom)}
     return rec
 
 
@@ -774,8 +764,8 @@ def moments_bit_record() -> dict:
     # the other callers of the route: outcome tables through _pair_block, and the
     # higher-moment check through _reduced and _party_moments
     qubits = random_scenario(rng, kind="bloch")
-    rec["outcome_distribution"] = _bits(outcome_distribution(qubits).p)
-    rec["higher_moment"] = {f"i={i} m={m}": {k: _bits(v) for k, v in higher_moment_uncertainty_check(real, i, m).items()}
+    rec["outcome_distribution"] = float_bits(outcome_distribution(qubits).p)
+    rec["higher_moment"] = {f"i={i} m={m}": {k: float_bits(v) for k, v in higher_moment_uncertainty_check(real, i, m).items()}
                             for i in (0, 1) for m in (2, 3)}
     # 8 or more pairs: NumPy sums the means' terms pairwise, in blocks of 8 (4 complex)
     pairs = []
@@ -783,8 +773,8 @@ def moments_bit_record() -> dict:
         pairs.append(moments(random_scenario(rng, kind="bloch" if s % 2 else "gue")))
         if s <= 9 or s in (13, 29):
             npc, r_prime = nparty_from_pairs(pairs)
-            rec[f"nparty {s}"] = {"rho_first": _bits(npc.rho_first),
-                                  "rho_second": _bits(npc.rho_second), "r_prime": _bits(r_prime)}
+            rec[f"nparty {s}"] = {"rho_first": float_bits(npc.rho_first),
+                                  "rho_second": float_bits(npc.rho_second), "r_prime": float_bits(r_prime)}
     return rec
 
 
