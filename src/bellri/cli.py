@@ -28,6 +28,7 @@ from .correlators import (
     pr_box_table,
 )
 from .errors import BellRIError, MalformedInputError
+from .lhv import LhvEnsemble, correlators_of
 
 # ---------------------------------------------------------------------------
 # Input decoding
@@ -118,8 +119,6 @@ def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityT
         )
         return from_probability_table(pt), pt
     if "ensemble" in payload:
-        from .lhv import LhvEnsemble, correlators_of
-
         weights = _float_array(_require(payload["ensemble"], "weights"))
         return correlators_of(LhvEnsemble(weights)), None
     if "pearson" in payload:

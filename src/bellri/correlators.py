@@ -37,11 +37,7 @@ _PEARSON_MAX = 1.0 + 1e-9     # |rho| above this is out of range, not rounding
 _OUTCOME_MAX = 1e77           # outcome magnitudes whose moments' pairwise products stay finite
 _OBSERVABLE_MAX = 1e75        # observable entries: at dim 32, var0 var1 and |r_q|^2 stay finite
 _SIGNALING_TOL = 1e-9         # marginal variances further apart flag signaling in variance
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _per_party(obj, what: str, default: tuple) -> tuple:
@@ -83,9 +79,9 @@ class ProbabilityTable:
             raise MalformedInputError(
                 f"each setting pair must be normalized to 1 within 1e-12, sums={sums.tolist()}"
             )
-        object.__setattr__(self, "outcomes_a", _readonly(oa))
-        object.__setattr__(self, "outcomes_b", _readonly(ob))
-        object.__setattr__(self, "p", _readonly(pr))
+        for a in (oa, ob, pr):
+            a.setflags(write=False)
+        self.__dict__.update(outcomes_a=oa, outcomes_b=ob, p=pr)     # frozen, so past __setattr__
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,10 @@ class CorrelatorTable:
 
     Pearson entries where either standard deviation vanishes are NaN with the
     matching ``pearson_defined`` entry False. Construction converts each field
-    once and checks each rule once, in field order, on Python floats; where
-    Pearson is defined, the raw correlator cov + mean_a mean_b must be finite.
-    Every array is a read-only copy, so a table never changes: ``ri`` keeps its
-    r' sides on it after the first verdict.
+    once and checks each rule once, in field order, on Python floats, which the
+    table keeps for the verdicts; where Pearson is defined, the raw correlator
+    cov + mean_a mean_b must be finite. Every array is a read-only copy, so a
+    table never changes: ``ri`` keeps its r' sides on it after the first verdict.
     """
 
     means_a: np.ndarray               # (2,)
@@ -112,36 +108,36 @@ class CorrelatorTable:
     def __post_init__(self) -> None:
         names = ("means_a", "means_b", "var_a", "var_b", "cov", "pearson")
         fields = [np.array(getattr(self, name), dtype=np.float64) for name in names]
-        ma, mb, va, vb, cov, pe = (a.tolist() for a in fields)
-        for name, v, x in zip(names, fields, (ma, mb, va, vb)):
+        ma, mb, va, vb, cov, pe = floats = [a.tolist() for a in fields]
+        for name, v, x in zip(names[:4], fields, floats):
             if v.shape != (2,) or not all(map(math.isfinite, x)):
                 raise MalformedInputError(f"{name} must be a finite length-2 vector")
         if min(va + vb) < 0.0:
             raise MalformedInputError("variances must be nonnegative")
-        if fields[4].shape != (2, 2) or fields[5].shape != (2, 2):
-            raise MalformedInputError("cov and pearson must be 2x2")
         if self.pearson_defined is None:
             defined = np.isfinite(fields[5])
         else:
             defined = np.array(self.pearson_defined, dtype=bool)
-        d = defined.tolist()
-        kept = [(i, j) for i in (0, 1) for j in (0, 1) if d[i][j]]
+        if fields[4].shape != (2, 2) or fields[5].shape != (2, 2) or defined.shape != (2, 2):
+            raise MalformedInputError("cov and pearson must be 2x2")
+        d = defined.ravel().tolist()
+        kept = [ij for ij, ok in zip(_CELLS, d) if ok]
         if any(abs(pe[i][j]) > _PEARSON_MAX for i, j in kept):
             raise MalformedInputError("defined Pearson entries must lie in [-1, 1]")
         if not all(math.isfinite(cov[i][j] + ma[i] * mb[j]) for i, j in kept):     # overflow gives inf
             raise MalformedInputError("cov + mean_a * mean_b must be finite where pearson is defined")
-        for name, a in zip(names, fields):
-            object.__setattr__(self, name, _readonly(a))
-        object.__setattr__(self, "pearson_defined", _readonly(defined))
+        for a in (*fields, defined):
+            a.setflags(write=False)
+        self.__dict__.update(zip(names, fields), pearson_defined=defined, _floats=floats,   # past frozen
+                             _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok])
 
     @property
     def all_defined(self) -> bool:
-        return bool(self.pearson_defined.all())
+        return not self._undefined
 
     def require_defined(self) -> np.ndarray:
-        if not self.all_defined:
-            bad = [tuple(ix) for ix in np.argwhere(~self.pearson_defined).tolist()]
-            raise DegenerateDataError(f"Pearson entries undefined at (i, j) in {bad}")
+        if self._undefined:
+            raise DegenerateDataError(f"Pearson entries undefined at (i, j) in {self._undefined}")
         return self.pearson
 
     @classmethod
@@ -155,8 +151,8 @@ class CorrelatorTable:
         cov = pe
         if variances is not None and var_a.shape == var_b.shape == (2,):
             # other shapes, negative variances and overflow are the table's to reject
-            with np.errstate(over="ignore", invalid="ignore"):
-                cov = pe * np.sqrt(np.outer(var_a, var_b))
+            cov = [[x * (math.sqrt(v) if (v := a * b) >= 0.0 else math.nan)
+                    for x, b in zip(row, var_b.tolist())] for row, a in zip(pe.tolist(), var_a.tolist())]
         return cls(means_a=mean_a, means_b=mean_b, var_a=var_a, var_b=var_b, cov=cov, pearson=pe)
 
     def to_json_dict(self) -> dict:
@@ -190,20 +186,30 @@ class TripartiteCorrelatorTable:
                 raise MalformedInputError(f"{name} must be a finite 2x2 block")
             if max(map(abs, x)) > _PEARSON_MAX:
                 raise MalformedInputError(f"{name} entries must lie in [-1, 1]")
-            object.__setattr__(self, name, _readonly(m))
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
         for name in ("var_a", "var_b", "var_c"):
             v = getattr(self, name)
             v = np.array((1.0, 1.0) if v is None else v, dtype=np.float64)
             if v.shape != (2,) or not all(0.0 <= x < math.inf for x in v.tolist()):     # NaN fails
                 raise MalformedInputError(f"{name} must be a nonnegative length-2 vector")
-            object.__setattr__(self, name, _readonly(v))
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
 
-def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """cov / sqrt(var_a var_b) (broadcast to 2x2), NaN where a variance is at or below its floor."""
-    defined = (var_a > floor_a) & (var_b > floor_b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(defined, cov / np.sqrt(var_a * var_b), np.nan), defined
+def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> list[float]:
+    """cov / sqrt(var_a var_b) entry by entry, NaN where a variance is at or below its floor.
+
+    Entries past +-1 are clamped: E[x^2] - E[x]^2 rounds when a variance is tiny, and Cauchy-Schwarz
+    bounds the exact value. An entry inside [-1, 1] keeps its bits."""
+    out = []
+    for c, va, vb in zip(cov, var_a, var_b):
+        if va > floor_a and vb > floor_b:
+            r = c / math.sqrt(va * vb)
+            out.append(r if -1.0 <= r <= 1.0 else math.copysign(1.0, r))
+        else:
+            out.append(math.nan)
+    return out
 
 
 def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
@@ -215,31 +221,32 @@ def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
     1e-9, the table is flagged signaling-in-variance.
     """
     oa, ob, p = pt.outcomes_a, pt.outcomes_b, pt.p
-    mean_a_ctx = np.einsum("ijab,a->ij", p, oa)
-    mean_b_ctx = np.einsum("ijab,b->ij", p, ob)
-    m2_a_ctx = np.einsum("ijab,a->ij", p, oa**2)
-    m2_b_ctx = np.einsum("ijab,b->ij", p, ob**2)
-    var_a_ctx = np.maximum(m2_a_ctx - mean_a_ctx**2, 0.0)
-    var_b_ctx = np.maximum(m2_b_ctx - mean_b_ctx**2, 0.0)
-    e_ab = np.einsum("ijab,a,b->ij", p, oa, ob)
-    cov = e_ab - mean_a_ctx * mean_b_ctx
+    # each moment of the four contexts (i, j), in row-major order
+    mean_a = np.einsum("ijab,a->ij", p, oa).ravel().tolist()
+    mean_b = np.einsum("ijab,b->ij", p, ob).ravel().tolist()
+    m2_a = np.einsum("ijab,a->ij", p, oa**2).ravel().tolist()
+    m2_b = np.einsum("ijab,b->ij", p, ob**2).ravel().tolist()
+    e_ab = np.einsum("ijab,a,b->ij", p, oa, ob).ravel().tolist()
+    var_a, var_b, cov = [], [], []
+    for a, a2, b, b2, e in zip(mean_a, m2_a, mean_b, m2_b, e_ab):
+        var_a.append(v if (v := a2 - a * a) > 0.0 else 0.0)
+        var_b.append(v if (v := b2 - b * b) > 0.0 else 0.0)
+        cov.append(e - a * b)
 
     scale_a = max(1.0, max(map(abs, oa.tolist())) ** 2)
     scale_b = max(1.0, max(map(abs, ob.tolist())) ** 2)
-    pearson, defined = _pearson(cov, var_a_ctx, var_b_ctx, _VAR_FLOOR * scale_a, _VAR_FLOOR * scale_b)
+    pearson = _pearson(cov, var_a, var_b, _VAR_FLOOR * scale_a, _VAR_FLOOR * scale_b)
 
-    # Alice's variance across Bob's settings (rows), Bob's across Alice's (columns)
-    va, vb = var_a_ctx.tolist(), var_b_ctx.tolist()
-    sig_var = any(abs(x - y) > _SIGNALING_TOL for x, y in (*va, *zip(*vb)))
     return CorrelatorTable(
-        means_a=mean_a_ctx.mean(axis=1),
-        means_b=mean_b_ctx.mean(axis=0),
-        var_a=var_a_ctx.mean(axis=1),
-        var_b=var_b_ctx.mean(axis=0),
-        cov=cov,
-        pearson=pearson,
-        pearson_defined=defined,
-        signaling_in_variance=sig_var,
+        means_a=[(mean_a[0] + mean_a[1]) / 2, (mean_a[2] + mean_a[3]) / 2],
+        means_b=[(mean_b[0] + mean_b[2]) / 2, (mean_b[1] + mean_b[3]) / 2],
+        var_a=[(var_a[0] + var_a[1]) / 2, (var_a[2] + var_a[3]) / 2],
+        var_b=[(var_b[0] + var_b[2]) / 2, (var_b[1] + var_b[3]) / 2],
+        cov=[cov[:2], cov[2:]],
+        pearson=[pearson[:2], pearson[2:]],
+        # Alice's variance across Bob's settings j, Bob's across Alice's settings i
+        signaling_in_variance=max(abs(var_a[0] - var_a[1]), abs(var_a[2] - var_a[3]),
+                                  abs(var_b[0] - var_b[2]), abs(var_b[1] - var_b[3])) > _SIGNALING_TOL,
     )
 
 
@@ -250,7 +257,8 @@ def chsh_combination(x):
 
 def chsh(ct: CorrelatorTable) -> float:
     """Pearson CHSH combination rho00 + rho10 + rho01 - rho11."""
-    return float(chsh_combination(ct.require_defined()))
+    (p00, p01), (p10, p11) = ct.require_defined().tolist()
+    return p00 + p10 + p01 - p11
 
 
 def chsh_raw(ct: CorrelatorTable) -> float:
@@ -258,15 +266,15 @@ def chsh_raw(ct: CorrelatorTable) -> float:
     return float(chsh_combination(ct.cov + np.outer(ct.means_a, ct.means_b)))
 
 
-def chsh_max(entries: np.ndarray) -> float:
-    """Largest magnitude over the eight CHSH facet sign patterns.
+def chsh_max(entries) -> float:
+    """Largest magnitude over the eight CHSH facet sign patterns of a 2x2 float array or nested list.
 
     The eight patterns each put one -1 among four +1 (or the reverse), so the
     values are four sums, one per position of the odd sign, and their
     negations. Each sum adds in the row-major order ``(s * entries).sum()``
     uses for a sign array s, so every value is bit-identical to that one.
     """
-    (e00, e01), (e10, e11) = np.asarray(entries, dtype=np.float64).tolist()
+    (e00, e01), (e10, e11) = entries
     return max(abs(e00 + e01 + e10 - e11), abs(e00 + e01 - e10 + e11),
                abs(e00 - e01 + e10 + e11), abs(-e00 + e01 + e10 + e11))
 
@@ -274,30 +282,31 @@ def chsh_max(entries: np.ndarray) -> float:
 def check_no_signaling(pt: ProbabilityTable, tol: float = 1e-9) -> dict:
     """Compare each party's marginals across the other party's settings.
 
-    Returns a report with the maximum marginal discrepancy per party and the
-    location of the worst violation; passes iff both maxima are <= tol.
+    Returns a report with the maximum marginal discrepancy per party and the location
+    of the worst violation (the first on a tie); passes iff both maxima are <= tol.
     """
     report, worst = {"pass": True}, {}
-    # each party's marginal indexed [own setting, remote setting, outcome]
-    for party, marg, outcomes in (("alice", pt.p.sum(axis=3), pt.outcomes_a),
-                                  ("bob", pt.p.sum(axis=2).transpose(1, 0, 2), pt.outcomes_b)):
-        diff = np.abs(marg[:, 0] - marg[:, 1])
-        top = float(diff.max())
+    # each party's marginal indexed [own setting][remote setting][outcome]
+    pa, pb = pt.p.sum(axis=3).tolist(), list(zip(*pt.p.sum(axis=2).tolist()))
+    for party, marg, outcomes in (("alice", pa, pt.outcomes_a), ("bob", pb, pt.outcomes_b)):
+        diff = [abs(x - y) for m0, m1 in marg for x, y in zip(m0, m1)]     # [setting, outcome] flat
+        top = max(diff)
         report["pass"] = report["pass"] and top <= tol
         report[f"max_discrepancy_{party}"] = top
         if top > tol:
-            setting, k = np.unravel_index(int(diff.argmax()), diff.shape)
+            setting, k = divmod(diff.index(top), len(marg[0][0]))      # the first maximum, as argmax
             worst[f"worst_{party}"] = {
-                "setting": int(setting),
-                "outcome": float(outcomes[k]),
-                "marginals": [float(marg[setting, 0, k]), float(marg[setting, 1, k])],
+                "setting": setting,
+                "outcome": outcomes.tolist()[k],
+                "marginals": [marg[setting][0][k], marg[setting][1][k]],
             }
     return report | worst
 
 
+_PR_BOX = ProbabilityTable([-1.0, 1.0], [-1.0, 1.0], [[[[0.5, 0.0], [0.0, 0.5]]] * 2,
+                                                      [[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]]]])
+
+
 def pr_box_table() -> ProbabilityTable:
-    """Joint table with <A_i B_j> = (-1)^(i*j), uniform +-1 marginals."""
-    outcomes = np.array([-1.0, 1.0])
-    target = np.array([[1.0, 1.0], [1.0, -1.0]])          # (-1)^(i j)
-    p = np.where(np.multiply.outer(target, np.outer(outcomes, outcomes)) == 1.0, 0.5, 0.0)
-    return ProbabilityTable(outcomes_a=outcomes, outcomes_b=outcomes, p=p)
+    """Joint table with <A_i B_j> = (-1)^(i*j), uniform +-1 marginals: one shared, read-only table."""
+    return _PR_BOX

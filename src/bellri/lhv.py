@@ -74,10 +74,11 @@ class LhvEnsemble:
         w = np.array(self.weights, dtype=np.float64)
         if w.shape != (16,):
             raise MalformedInputError(f"weights must have length 16, got shape {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < -1e-15):
+        if not all(-1e-15 <= x < np.inf for x in w.tolist()):     # NaN fails
             raise MalformedInputError("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise MalformedInputError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
+        total = float(w.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise MalformedInputError(f"weights must sum to 1 within 1e-12, got {total!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -118,41 +119,33 @@ class LhvStatistics:
             return None
         return float(self.r / np.sqrt(va[0] * va[1]))
 
-    @property
-    def r_bar_prime(self) -> float | None:
-        vb = self.table.var_b
-        if vb[0] <= _VAR_FLOOR or vb[1] <= _VAR_FLOOR:
-            return None
-        return float(self.r_bar / np.sqrt(vb[0] * vb[1]))
+
+def _ensemble_moments(ens: LhvEnsemble) -> tuple[CorrelatorTable, list[float], np.ndarray]:
+    """The correlator table, the means (a0, a1, b0, b1) and the raw correlators E[i, j]."""
+    w = ens.weights
+    means = (w @ _VERTEX_VALUES).tolist()            # second moments are 1
+    e = np.einsum("k,ki,kj->ij", w, _VERTEX_VALUES[:, :2], _VERTEX_VALUES[:, 2:])     # E[i, j] = <A_i B_j>
+    var = [v if (v := 1.0 - m * m) > 0.0 else 0.0 for m in means]
+    ma, mb = means[:2], means[2:]
+    (e00, e01), (e10, e11) = e.tolist()
+    cov = [e00 - ma[0] * mb[0], e01 - ma[0] * mb[1], e10 - ma[1] * mb[0], e11 - ma[1] * mb[1]]
+    pearson = _pearson(cov, (var[0], var[0], var[1], var[1]), (var[2], var[3]) * 2, _VAR_FLOOR, _VAR_FLOOR)
+    table = CorrelatorTable(means_a=ma, means_b=mb, var_a=var[:2], var_b=var[2:],
+                            cov=[cov[:2], cov[2:]], pearson=[pearson[:2], pearson[2:]])
+    return table, means, e
 
 
 def statistics_of(ens: LhvEnsemble) -> LhvStatistics:
     """Full moment summary by direct expectation over the 16 vertices."""
-    w = ens.weights
-    vals = _VERTEX_VALUES
-    means = w @ vals                                 # (a0, a1, b0, b1), second moments are 1
-    var = np.maximum(1.0 - means**2, 0.0)
-    e = np.einsum("k,ki,kj->ij", w, vals[:, :2], vals[:, 2:])     # E[i, j] = <A_i B_j>
-    cov = e - np.outer(means[:2], means[2:])
-    pearson, defined = _pearson(cov, var[:2, None], var[None, 2:], _VAR_FLOOR, _VAR_FLOOR)
-    table = CorrelatorTable(
-        means_a=means[:2],
-        means_b=means[2:],
-        var_a=var[:2],
-        var_b=var[2:],
-        cov=cov,
-        pearson=pearson,
-        pearson_defined=defined,
-    )
-    r = float(w @ (vals[:, 0] * vals[:, 1]) - means[0] * means[1])
-    r_bar = float(w @ (vals[:, 2] * vals[:, 3]) - means[2] * means[3])
-    q = float(w @ np.prod(vals, axis=1))
-    return LhvStatistics(table=table, raw_e=e, r=r, r_bar=r_bar, q=q)
+    table, m, e = _ensemble_moments(ens)
+    w, v = ens.weights, _VERTEX_VALUES
+    return LhvStatistics(table=table, raw_e=e, r=float(w @ (v[:, 0] * v[:, 1])) - m[0] * m[1],
+                         r_bar=float(w @ (v[:, 2] * v[:, 3])) - m[2] * m[3], q=float(w @ np.prod(v, axis=1)))
 
 
 def correlators_of(ens: LhvEnsemble) -> CorrelatorTable:
     """Correlator table of an ensemble (see ``statistics_of`` for the witnesses)."""
-    return statistics_of(ens).table
+    return _ensemble_moments(ens)[0]
 
 
 def is_local(e, tol: float = 1e-9) -> bool:
@@ -166,7 +159,7 @@ def is_local(e, tol: float = 1e-9) -> bool:
         raise MalformedInputError("correlator matrix must be a finite 2x2 array")
     if np.abs(e).max() > 1.0 + tol:
         raise MalformedInputError(f"correlators out of range [-1, 1]: {e.tolist()}")
-    return chsh_max(e) <= 2.0 + tol
+    return chsh_max(e.tolist()) <= 2.0 + tol
 
 
 def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: float = 1e-9) -> bool | None:
@@ -176,17 +169,18 @@ def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: flo
     """
     if no_signaling is not None and not no_signaling["pass"]:
         return None
-    ma, mb = ct.means_a.tolist(), ct.means_b.tolist()
-    rows = [[c + a * b for c, b in zip(crow, mb)] for crow, a in zip(ct.cov.tolist(), ma)]
-    second = [v + m * m for v, m in zip(ct.var_a.tolist() + ct.var_b.tolist(), ma + mb)]
-    weights = [
-        1.0 + a * ma[i] + b * mb[j] + a * b * rows[i][j]
-        for i in (0, 1) for j in (0, 1) for a in (-1.0, 1.0) for b in (-1.0, 1.0)
-    ]
-    if max(abs(m - 1.0) for m in second) > tol or min(weights) < -tol:
-        return None
-    if not all(abs(x) <= 1.0 + tol for row in rows for x in row):    # |E| beyond 1 + tol by rounding
-        return None
+    ma, mb, va, vb, cov, _ = ct._floats
+    for v, m in zip(va + vb, ma + mb):
+        if abs(v + m * m - 1.0) > tol:
+            return None
+    rows = [[], []]
+    for row, crow, a in zip(rows, cov, ma):
+        for c, b in zip(crow, mb):
+            x = c + a * b
+            weight = min(1.0 + a + b + x, 1.0 + a - b - x, 1.0 - a + b - x, 1.0 - a - b + x)
+            if weight < -tol or abs(x) > 1.0 + tol:     # |E| beyond 1 + tol by rounding
+                return None
+            row.append(x)
     return chsh_max(rows) <= 2.0 + tol
 
 

@@ -110,9 +110,8 @@ class Observable:
         if not scale <= _OBSERVABLE_MAX:            # NaN and inf fail here too
             if not np.isfinite(m).all():
                 raise MalformedInputError("observable has non-finite entries")
-            raise MalformedInputError(
-                f"observable entries must be at most 1e75 in magnitude, got {scale:.6g}"
-            )
+            got = f"{scale:.6g}" if scale < math.inf else "an entry whose modulus overflows"
+            raise MalformedInputError(f"observable entries must be at most 1e75 in magnitude, got {got}")
         adj = m.conj().T
         if np.abs(m - adj).max() > 1e-12 * max(1.0, scale):
             raise MalformedInputError("observable is not Hermitian within 1e-12")

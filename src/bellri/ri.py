@@ -87,7 +87,7 @@ class _Side(NamedTuple):
     mid: float          # 0.5 (max lo + min hi), the common value when the intervals meet
 
     def intervals(self) -> tuple[RInterval, ...]:
-        return tuple(RInterval(c - h, c + h, label) for label, c, h in zip(self.labels, self.c, self.h))
+        return tuple([RInterval(c - h, c + h, label) for label, c, h in zip(self.labels, self.c, self.h)])
 
 
 def _side(contexts, labels, shrink: float = 0.0) -> _Side:
@@ -137,8 +137,7 @@ def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, tuple[RInterva
     if sides is None:
         ctx_a, ctx_b = _pearson_contexts(ct.require_defined().tolist())
         a, b = _side(ctx_a, ("j=0", "j=1")), _side(ctx_b, ("i=0", "i=1"))
-        sides = a, b, a.intervals() + b.intervals()
-        object.__setattr__(ct, "_sides", sides)
+        ct.__dict__["_sides"] = sides = a, b, a.intervals() + b.intervals()
     a, b, intervals = sides
     feasible = a.gap <= tol and b.gap <= tol
     return a, b, intervals, feasible, 0.0 if feasible else a.gap if a.gap > 0.0 else b.gap
@@ -172,8 +171,8 @@ def tlm_check(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> TlmResult:
     Row 2:  |rho00 rho01 - rho10 rho11| <= sum_i h_i  (roles swapped)
     """
     a, b, _, feasible, _ = _gaps(ct, tol)
-    lhs = tuple(abs(side.c[0] - side.c[1]) for side in (a, b))
-    return TlmResult(passed=feasible, lhs=lhs, rhs=tuple(side.h[0] + side.h[1] for side in (a, b)))
+    return TlmResult(passed=feasible, lhs=(abs(a.c[0] - a.c[1]), abs(b.c[0] - b.c[1])),
+                     rhs=(a.h[0] + a.h[1], b.h[0] + b.h[1]))
 
 
 @dataclass(frozen=True)

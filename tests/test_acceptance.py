@@ -200,7 +200,8 @@ def test_07_lhv_soundness():
         assert is_local(stats.raw_e, tol=1e-9)
         assert tlm_check(stats.table, tol=1e-9).passed
         r_prime = stats.r_prime
-        r_bar_prime = stats.r_bar_prime
+        vb = stats.table.var_b
+        r_bar_prime = stats.r_bar / math.sqrt(vb[0] * vb[1])
         for j in (0, 1):
             assert r_interval_bipartite(stats.table, j).contains(r_prime, slack=1e-9)
         for i in (0, 1):

@@ -110,6 +110,22 @@ class TestClassify:
         assert out["local"] is True
         assert out["ri_feasible"] is True
 
+    @pytest.mark.parametrize("payload", [
+        {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [1, 2], "p": [
+            [[[1e-07, 0], [0, 0.9999999]], [[0.25, 0.25], [0.25, 0.25]]],
+            [[[0.25, 0.25], [0.25, 0.25]], [[0.25, 0.25], [0.25, 0.25]]]]}},
+        {"ensemble": {"weights": [0.0, 0.0, 0.0, 1.2240673206856076e-09, 1.8943298562366277e-06, 0.0,
+                                  0.9983910499527956, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                  0.001607054493280928, 0.0]}},
+    ])
+    def test_tiny_variance_tables_are_valid(self, tmp_path, capsys, payload):
+        # a context's variance near zero: E[x^2] - E[x]^2 rounds, and a derived |rho|
+        # above 1 + 1e-9 used to be rejected as malformed input (exit 2)
+        path = write_json(tmp_path, "t.json", payload)
+        for verb in ("classify", "ri-intervals", "epsilon", "tlm-check", "geometry"):
+            code, out, err = run_cli(capsys, verb, "--input", path)
+            assert code in (0, 1) and out is not None and err == ""
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"pearson": [[1,')
@@ -554,6 +570,9 @@ class TestMessageOrder:
              "observable entries must be at most 1e75 in magnitude, got 1.41421e+308"),
             ("alice_obs", [{"re": [[1e76, 1.0], [0.0, 1.0]]}, {"re": [[1.0, 0.0], [0.0, -1.0]]}],
              "observable entries must be at most 1e75 in magnitude, got 1e+76"),
+            ("alice_obs", [{"re": [[1.5e308, 0.0], [0.0, 1.0]], "im": [[1.5e308, 0.0], [0.0, 0.0]]},
+                           {"re": [[1.0, 0.0], [0.0, -1.0]]}],
+             "observable entries must be at most 1e75 in magnitude, got an entry whose modulus overflows"),
         ],
     )
     def test_scenario(self, tmp_path, capsys, field, value, message):

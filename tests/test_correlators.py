@@ -177,6 +177,28 @@ class TestFromProbabilityTable:
             pe = ct.pearson[ct.pearson_defined]
             assert np.all(np.abs(pe) <= 1.0 + 1e-12)
 
+    def test_near_degenerate_tables_never_raise(self):
+        # two-point contexts with a tiny second mass, and ensembles near a vertex:
+        # a variance near zero rounds, yet every derived Pearson entry is a correlation
+        rng = np.random.default_rng(20)
+        for _ in range(1500):
+            na, nb = (int(n) for n in rng.integers(2, 5, size=2))
+            p = np.zeros((2, 2, na, nb))
+            for i, j in np.ndindex(2, 2):
+                d = 10.0 ** rng.uniform(-12, -1)
+                p[i, j, rng.integers(na), rng.integers(nb)] += 1.0 - d
+                p[i, j, rng.integers(na), rng.integers(nb)] += d
+            oa, ob = (np.sort(rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3) for n in (na, nb))
+            w = rng.dirichlet(np.full(16, 0.3)) * 10.0 ** rng.uniform(-12, -2)
+            w[rng.integers(16)] += 1.0 - w.sum()
+            for ct in (from_probability_table(ProbabilityTable(oa, ob, p)), correlators_of(LhvEnsemble(w))):
+                assert np.all(np.abs(ct.pearson[ct.pearson_defined]) <= 1.0)
+
+    def test_pr_box_is_one_read_only_table(self):
+        pt = pr_box_table()
+        assert pr_box_table() is pt
+        assert not any(a.flags.writeable for a in (pt.outcomes_a, pt.outcomes_b, pt.p))
+
     def test_affine_relabel_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(100):

@@ -166,8 +166,9 @@ class TestFeasibility:
             assert v.ri_feasible
             for j in (0, 1):
                 assert r_interval_bipartite(stats.table, j).contains(stats.r_prime)
+            vb = stats.table.var_b
             for i in (0, 1):
-                assert r_interval_swapped(stats.table, i).contains(stats.r_bar_prime)
+                assert r_interval_swapped(stats.table, i).contains(stats.r_bar / math.sqrt(vb[0] * vb[1]))
 
     def test_pair_matrix_matches_joint_feasibility(self):
         rng = np.random.default_rng(12)
