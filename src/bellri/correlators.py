@@ -72,8 +72,9 @@ class ProbabilityTable:
             raise MalformedInputError(
                 f"p must have shape (2, 2, {oa.size}, {ob.size}), got {pr.shape}"
             )
-        if not all(-1e-15 <= x < math.inf for x in pr.ravel().tolist()):     # NaN fails
-            raise MalformedInputError("probabilities must be finite and nonnegative")
+        for x in pr.ravel().tolist():       # a loop: a generator resumes once per entry
+            if not -1e-15 <= x < math.inf:      # NaN fails
+                raise MalformedInputError("probabilities must be finite and nonnegative")
         sums = pr.sum(axis=(2, 3))
         if any(abs(x - 1.0) > 1e-12 for x in sums.ravel().tolist()):
             raise MalformedInputError(
@@ -81,7 +82,7 @@ class ProbabilityTable:
             )
         for a in (oa, ob, pr):
             a.setflags(write=False)
-        self.__dict__.update(outcomes_a=oa, outcomes_b=ob, p=pr)     # frozen, so past __setattr__
+        self.__dict__.update(outcomes_a=oa, outcomes_b=ob, p=pr)     # frozen: bypass __setattr__
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ class CorrelatorTable:
             raise MalformedInputError("cov + mean_a * mean_b must be finite where pearson is defined")
         for a in (*fields, defined):
             a.setflags(write=False)
-        self.__dict__.update(zip(names, fields), pearson_defined=defined, _floats=floats,   # past frozen
-                             _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok])
+        self.__dict__.update(zip(names, fields), pearson_defined=defined,      # frozen: bypass __setattr__
+                             _floats=floats, _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok])
 
     @property
     def all_defined(self) -> bool:
@@ -236,7 +237,6 @@ def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
     scale_a = max(1.0, max(map(abs, oa.tolist())) ** 2)
     scale_b = max(1.0, max(map(abs, ob.tolist())) ** 2)
     pearson = _pearson(cov, var_a, var_b, _VAR_FLOOR * scale_a, _VAR_FLOOR * scale_b)
-
     return CorrelatorTable(
         means_a=[(mean_a[0] + mean_a[1]) / 2, (mean_a[2] + mean_a[3]) / 2],
         means_b=[(mean_b[0] + mean_b[2]) / 2, (mean_b[1] + mean_b[3]) / 2],
