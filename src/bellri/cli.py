@@ -14,9 +14,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import multiparty, optimizer, qmodel, ri
+from . import ri
 from .correlators import (
     CorrelatorTable,
     ProbabilityTable,
@@ -28,7 +26,6 @@ from .correlators import (
     pr_box_table,
 )
 from .errors import BellRIError, MalformedInputError
-from .lhv import LhvEnsemble, correlators_of
 
 # ---------------------------------------------------------------------------
 # Input decoding
@@ -63,8 +60,8 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
-def _holds_bool(obj) -> bool:
-    """Whether a decoded JSON value is, or nests, true or false."""
+def _no_booleans(obj, what: str = "") -> None:
+    """Reject a decoded JSON value that is, or nests, true or false: NumPy and float() read true as 1.0."""
     level = [obj]
     while level:                        # one nesting level at a time
         inner = []
@@ -72,9 +69,8 @@ def _holds_bool(obj) -> bool:
             if type(x) is list:
                 inner += x
             elif type(x) is bool:
-                return True
+                raise MalformedInputError(f"{what}expected numbers, got a JSON boolean")
         level = inner
-    return False
 
 
 def _float(payload: dict, key: str) -> float:
@@ -84,7 +80,7 @@ def _float(payload: dict, key: str) -> float:
         if isinstance(value, bool):     # float() would read true as 1.0
             raise TypeError(value)
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:     # a JSON integer past the float range
         raise MalformedInputError(f"{key} must be a number, got {value!r}") from exc
 
 
@@ -98,11 +94,11 @@ def _numbers(text: str, kind, what: str) -> list:
 
 def _float_array(obj) -> np.ndarray:
     """A JSON number or rectangular nested list as a float array."""
-    if _holds_bool(obj):                # numpy would read true as 1.0
-        raise MalformedInputError("expected numbers, got a JSON boolean")
+    import numpy as np
+    _no_booleans(obj)
     try:
         return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(str(exc)) from exc
 
 
@@ -112,21 +108,20 @@ def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityT
         return from_probability_table(pt), pt
     if "probabilities" in payload:
         prob = payload["probabilities"]
-        pt = ProbabilityTable(
-            outcomes_a=_float_array(_require(prob, "outcomes_a")),
-            outcomes_b=_float_array(_require(prob, "outcomes_b")),
-            p=_float_array(_require(prob, "p")),
-        )
+        fields = {key: _require(prob, key) for key in ("outcomes_a", "outcomes_b", "p")}
+        _no_booleans(list(fields.values()))     # the table converts each field once
+        pt = ProbabilityTable(**fields)
         return from_probability_table(pt), pt
     if "ensemble" in payload:
+        from . import lhv
         weights = _float_array(_require(payload["ensemble"], "weights"))
-        return correlators_of(LhvEnsemble(weights)), None
+        return lhv.correlators_of(lhv.LhvEnsemble(weights)), None
     if "pearson" in payload:
-        pe = _float_array(payload["pearson"])
-        variances, means = payload.get("variances"), payload.get("means")
+        pe, variances, means = payload["pearson"], payload.get("variances"), payload.get("means")
+        _no_booleans(pe)
         for key, obj in (("variances", variances), ("means", means)):
-            if isinstance(obj, dict) and _holds_bool([obj.get("a"), obj.get("b")]):
-                raise MalformedInputError(f"{key}: expected numbers, got a JSON boolean")
+            if isinstance(obj, dict):
+                _no_booleans([obj.get("a"), obj.get("b")], f"{key}: ")
         return CorrelatorTable.from_pearson(pe, variances=variances, means=means), None
     raise MalformedInputError(
         "bipartite input needs 'probabilities', 'pearson', 'ensemble', or name 'pr-box'"
@@ -134,14 +129,13 @@ def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityT
 
 
 def decode_tripartite_table(payload: dict) -> TripartiteCorrelatorTable:
-    return TripartiteCorrelatorTable(
-        pearson_ab=_float_array(_require(payload, "pearson_ab")),
-        pearson_ac=_float_array(_require(payload, "pearson_ac")),
-        pearson_bc=_float_array(_require(payload, "pearson_bc")),
-    )
+    blocks = {key: _require(payload, key) for key in ("pearson_ab", "pearson_ac", "pearson_bc")}
+    _no_booleans(list(blocks.values()))
+    return TripartiteCorrelatorTable(**blocks)
 
 
 def _complex_array(obj, what: str) -> np.ndarray:
+    import numpy as np
     if isinstance(obj, dict):
         re = _float_array(_require(obj, "re"))
         im = _float_array(obj.get("im", np.zeros_like(re)))
@@ -152,6 +146,8 @@ def _complex_array(obj, what: str) -> np.ndarray:
 
 
 def decode_scenario(payload: dict) -> qmodel.QuantumScenario:
+    import numpy as np
+    from . import qmodel
     dims = _float_array(_require(payload, "dims"))
     if dims.ndim != 1 or not np.all(np.isfinite(dims)) or np.any(dims != np.round(dims)):
         raise MalformedInputError("dims must list whole-number party dimensions")
@@ -174,6 +170,7 @@ def decode_scenario(payload: dict) -> qmodel.QuantumScenario:
 
 
 def decode_nparty(payload: dict) -> tuple[multiparty.NPartyCorrelators, float]:
+    from . import multiparty
     r_prime = _float(payload, "r_prime")
     exps = _require(payload, "experimenters")
     if not isinstance(exps, list) or not all(isinstance(e, dict) for e in exps):
@@ -230,6 +227,7 @@ def _cmd_pr_demo(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
+    from . import qmodel
     sc = decode_scenario(_read_payload(args.input))
     if sc.n_parties == 3:
         tm = qmodel.tripartite_moments(sc)
@@ -268,6 +266,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_quantum_bound(args) -> tuple[dict, int]:
+    from . import qmodel
     sc = decode_scenario(_read_payload(args.input))
     res = qmodel.quantum_tlm_check(sc, tol=args.tol)
     res["eta_bound"] = qmodel.tsirelson_eta_bound(sc, tol=args.tol)
@@ -275,12 +274,14 @@ def _cmd_quantum_bound(args) -> tuple[dict, int]:
 
 
 def _cmd_chsh_r_tradeoff(args) -> tuple[dict, int]:
+    from . import qmodel
     sc = decode_scenario(_read_payload(args.input))
     res = qmodel.chsh_r_tradeoff_check(sc, tol=args.tol)
     return res, 0 if res["pass"] else 1
 
 
 def _cmd_monogamy(args) -> tuple[dict, int]:
+    from . import multiparty
     payload = _read_payload(args.input)
     if "chsh_ab" in payload:
         b_ab = _float(payload, "chsh_ab")
@@ -296,12 +297,14 @@ def _cmd_monogamy(args) -> tuple[dict, int]:
 
 
 def _cmd_nparty(args) -> tuple[dict, int]:
+    from . import multiparty
     npc, r_prime = decode_nparty(_read_payload(args.input))
     res = multiparty.nparty_bound_check(npc, r_prime, tol=args.tol)
     return res, 0 if res["pass"] else 1
 
 
 def _cmd_zeta_bound(args) -> tuple[dict, int]:
+    from . import multiparty
     tct = decode_tripartite_table(_read_payload(args.input))
     ctx1, ctx2 = (tuple(_numbers(c, int, "contexts")) for c in (args.context, args.context2))
     if not all(len(c) == 2 and set(c) <= {0, 1} for c in (ctx1, ctx2)):
@@ -310,11 +313,15 @@ def _cmd_zeta_bound(args) -> tuple[dict, int]:
     return res, 0 if res["pass"] else 1
 
 
+def _opt_config(args):
+    """``OptConfig`` from the search flags given; a flag left out keeps ``OptConfig``'s default."""
+    from .optimizer import OptConfig
+    return OptConfig(**{k: getattr(args, k) for k in ("restarts", "max_evals", "seed") if hasattr(args, k)})
+
+
 def _cmd_optimize(args) -> tuple[dict, int]:
-    cfg = optimizer.OptConfig(
-        restarts=args.restarts, max_evals=args.max_evals, seed=args.seed
-    )
-    res = optimizer.maximize(optimizer.chsh_objective, cfg)
+    from . import optimizer
+    res = optimizer.maximize(optimizer.chsh_objective, _opt_config(args))
     out = {
         "best_chsh": res.best_value,
         "evaluations": res.evaluations,
@@ -330,11 +337,9 @@ def _cmd_optimize(args) -> tuple[dict, int]:
 
 
 def _cmd_eta_curve(args) -> tuple[dict, int]:
+    from . import optimizer
     etas = _numbers(args.etas, float, "--etas")
-    cfg = optimizer.OptConfig(
-        restarts=args.restarts, max_evals=args.max_evals, seed=args.seed
-    )
-    pts = optimizer.trace_eta_curve(etas, cfg)
+    pts = optimizer.trace_eta_curve(etas, _opt_config(args))
     return {"points": pts}, 0
 
 
@@ -378,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default="-", help="JSON file path, or - for stdin")
             p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", default=None, help="also write the JSON result here")
-        if verb in ("optimize", "eta-curve"):      # one default per knob: OptConfig's
-            p.add_argument("--seed", type=int, default=optimizer.OptConfig.seed)
-            p.add_argument("--restarts", type=int, default=optimizer.OptConfig.restarts)
-            p.add_argument("--max-evals", type=int, default=optimizer.OptConfig.max_evals, dest="max_evals")
+        if verb in ("optimize", "eta-curve"):      # one default per knob: OptConfig's, in the handler
+            p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+            p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+            p.add_argument("--max-evals", type=int, default=argparse.SUPPRESS, dest="max_evals")
         if verb == "eta-curve":
             p.add_argument(
                 "--etas", default="0,0.25,0.5,0.7071067811865476,0.9",

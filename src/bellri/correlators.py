@@ -9,16 +9,23 @@ undefined instead of defaulting them, and downstream consumers fail loudly.
 Signaling in the variances (a party's spread depending on the remote setting)
 is recorded as a flag rather than treated as an error: feasibility of a common
 uncertainty parameter is assessed independently of the no-signaling condition.
+
+The correlator tables keep the Python floats they checked, which is all the verdicts read, so
+a Pearson table never imports NumPy; each array field is built on its first read. Probability
+tables, their moments and the no-signaling report keep NumPy's bits and import it on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateDataError, MalformedInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProbabilityTable",
@@ -40,16 +47,35 @@ _SIGNALING_TOL = 1e-9         # marginal variances further apart flag signaling 
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _per_party(obj, what: str, default: tuple) -> tuple:
-    """Alice's and Bob's vectors from an optional {"a": [..], "b": [..]} object."""
-    if obj is None:
-        return default, default
-    if not isinstance(obj, dict):
-        raise MalformedInputError(f"{what} must be an object with keys 'a' and 'b'")
+def _vector(obj, entry=float) -> list | None:
+    """A length-2 list, tuple or array with ``entry`` applied to each item, or None if it is not one:
+    ``float`` for a vector, ``_vector`` for the rows of a 2x2 block."""
+    if type(obj) is not list and hasattr(obj, "tolist"):      # an array: its entries as Python numbers
+        obj = obj.tolist()
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        return None
     try:
-        return tuple(np.asarray(obj.get(p, default), float) for p in "ab")
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"{what}: {exc}") from exc
+        a, b = entry(obj[0]), entry(obj[1])
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if a is None or b is None else [a, b]
+
+
+class _Array:
+    """An array field of a table that keeps the Python floats or bools it checked, ``_floats[k]``:
+    built as a read-only float64 or bool array on its first read, then kept on the table."""
+
+    def __init__(self, name: str, k: int) -> None:
+        self.name, self.k = name, k
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        import numpy as np
+        a = np.array(table._floats[self.k])
+        a.setflags(write=False)
+        table.__dict__[self.name] = a
+        return a
 
 
 @dataclass(frozen=True)
@@ -61,9 +87,14 @@ class ProbabilityTable:
     p: np.ndarray                     # (2, 2, na, nb), each p[i, j] sums to 1
 
     def __post_init__(self) -> None:
-        oa = np.array(self.outcomes_a, dtype=np.float64)
-        ob = np.array(self.outcomes_b, dtype=np.float64)
-        pr = np.array(self.p, dtype=np.float64)
+        import numpy as np
+        arrays = []
+        for name in ("outcomes_a", "outcomes_b", "p"):      # the one conversion of each field
+            try:
+                arrays.append(np.array(getattr(self, name), dtype=np.float64))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedInputError(f"{name} must be a rectangular array of numbers") from exc
+        oa, ob, pr = arrays
         if oa.ndim != 1 or ob.ndim != 1 or oa.size == 0 or ob.size == 0:
             raise MalformedInputError("outcome lists must be non-empty 1-d arrays")
         if not all(abs(x) <= _OUTCOME_MAX for x in oa.tolist() + ob.tolist()):    # NaN fails
@@ -80,7 +111,7 @@ class ProbabilityTable:
             raise MalformedInputError(
                 f"each setting pair must be normalized to 1 within 1e-12, sums={sums.tolist()}"
             )
-        for a in (oa, ob, pr):
+        for a in arrays:
             a.setflags(write=False)
         self.__dict__.update(outcomes_a=oa, outcomes_b=ob, p=pr)     # frozen: bypass __setattr__
 
@@ -91,10 +122,10 @@ class CorrelatorTable:
 
     Pearson entries where either standard deviation vanishes are NaN with the
     matching ``pearson_defined`` entry False. Construction converts each field
-    once and checks each rule once, in field order, on Python floats, which the
-    table keeps for the verdicts; where Pearson is defined, the raw correlator
-    cov + mean_a mean_b must be finite. Every array is a read-only copy, so a
-    table never changes: ``ri`` keeps its r' sides on it after the first verdict.
+    to Python floats once and checks each rule once, in field order; the table
+    keeps those floats, and the verdicts read only them. Each array field is
+    built from them, read-only, on its first read. A table never changes:
+    ``ri`` keeps its r' sides on it after the first verdict.
     """
 
     means_a: np.ndarray               # (2,)
@@ -106,71 +137,75 @@ class CorrelatorTable:
     pearson_defined: np.ndarray = field(default=None)  # (2, 2) bool
     signaling_in_variance: bool = False
 
+    _ARRAYS = ("means_a", "means_b", "var_a", "var_b", "cov", "pearson", "pearson_defined")
+
     def __post_init__(self) -> None:
-        names = ("means_a", "means_b", "var_a", "var_b", "cov", "pearson")
-        fields = [np.array(getattr(self, name), dtype=np.float64) for name in names]
-        ma, mb, va, vb, cov, pe = floats = [a.tolist() for a in fields]
-        for name, v, x in zip(names[:4], fields, floats):
-            if v.shape != (2,) or not all(map(math.isfinite, x)):
+        given = list(map(self.__dict__.pop, self._ARRAYS))      # frozen: bypass __delattr__
+        ma, mb, va, vb = vectors = list(map(_vector, given[:4]))
+        for name, x in zip(self._ARRAYS, vectors):
+            if x is None or not all(map(math.isfinite, x)):
                 raise MalformedInputError(f"{name} must be a finite length-2 vector")
         if min(va + vb) < 0.0:
             raise MalformedInputError("variances must be nonnegative")
-        if self.pearson_defined is None:
-            defined = np.isfinite(fields[5])
-        else:
-            defined = np.array(self.pearson_defined, dtype=bool)
-        if fields[4].shape != (2, 2) or fields[5].shape != (2, 2) or defined.shape != (2, 2):
+        cov, pe = _vector(given[4], _vector), _vector(given[5], _vector)
+        mask = None if given[6] is None else _vector(given[6], _vector)
+        if cov is None or pe is None or (mask is None and given[6] is not None):
             raise MalformedInputError("cov and pearson must be 2x2")
-        d = defined.ravel().tolist()
+        if mask is None:
+            d = [math.isfinite(x) for x in pe[0] + pe[1]]
+        else:
+            d = [x != 0.0 for x in mask[0] + mask[1]]       # NaN counts as True, as in NumPy
         kept = [ij for ij, ok in zip(_CELLS, d) if ok]
         if any(abs(pe[i][j]) > _PEARSON_MAX for i, j in kept):
             raise MalformedInputError("defined Pearson entries must lie in [-1, 1]")
         if not all(math.isfinite(cov[i][j] + ma[i] * mb[j]) for i, j in kept):     # overflow gives inf
             raise MalformedInputError("cov + mean_a * mean_b must be finite where pearson is defined")
-        for a in (*fields, defined):
-            a.setflags(write=False)
-        self.__dict__.update(zip(names, fields), pearson_defined=defined,      # frozen: bypass __setattr__
-                             _floats=floats, _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok])
+        self.__dict__.update(_floats=(ma, mb, va, vb, cov, pe, [d[:2], d[2:]]),
+                             _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok])
 
     @property
     def all_defined(self) -> bool:
         return not self._undefined
 
-    def require_defined(self) -> np.ndarray:
+    def _pearson_rows(self) -> list[list[float]]:
+        """The Pearson rows as floats; raises DegenerateDataError where an entry is undefined."""
         if self._undefined:
             raise DegenerateDataError(f"Pearson entries undefined at (i, j) in {self._undefined}")
+        return self._floats[5]
+
+    def require_defined(self) -> np.ndarray:
+        self._pearson_rows()
         return self.pearson
 
     @classmethod
     def from_pearson(cls, pearson, variances=None, means=None) -> "CorrelatorTable":
         """Build a table from Pearson entries alone (unit variances, zero means)."""
-        pe = np.asarray(pearson, dtype=np.float64)
-        if pe.shape != (2, 2):
-            raise MalformedInputError(f"pearson must be 2x2, got shape {pe.shape}")
-        var_a, var_b = _per_party(variances, "variances", (1.0, 1.0))
-        mean_a, mean_b = _per_party(means, "means", (0.0, 0.0))
+        pe = _vector(pearson, _vector)
+        if pe is None:      # only this error path imports NumPy, to name the shape
+            import numpy as np
+            try:
+                shape = np.asarray(pearson, dtype=np.float64).shape
+            except (TypeError, ValueError, OverflowError):
+                raise MalformedInputError("pearson must be a 2x2 array of numbers") from None
+            raise MalformedInputError(f"pearson must be 2x2, got shape {shape}")
+        given = []          # Alice's and Bob's vectors as given; the table checks them
+        for what, obj, default in (("variances", variances, (1.0, 1.0)), ("means", means, (0.0, 0.0))):
+            if obj is not None and not isinstance(obj, dict):
+                raise MalformedInputError(f"{what} must be an object with keys 'a' and 'b'")
+            given += [(obj or {}).get("a", default), (obj or {}).get("b", default)]
+        var_a, var_b, mean_a, mean_b = given
         cov = pe
-        if variances is not None and var_a.shape == var_b.shape == (2,):
+        if variances is not None and (va := _vector(var_a)) and (vb := _vector(var_b)):
             # other shapes, negative variances and overflow are the table's to reject
             cov = [[x * (math.sqrt(v) if (v := a * b) >= 0.0 else math.nan)
-                    for x, b in zip(row, var_b.tolist())] for row, a in zip(pe.tolist(), var_a.tolist())]
+                    for x, b in zip(row, vb)] for row, a in zip(pe, va)]
         return cls(means_a=mean_a, means_b=mean_b, var_a=var_a, var_b=var_b, cov=cov, pearson=pe)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": "bipartite",
-            "pearson": [[None if not d else float(x) for x, d in zip(row, drow)]
-                        for row, drow in zip(self.pearson, self.pearson_defined)],
-            "means": {"a": self.means_a.tolist(), "b": self.means_b.tolist()},
-            "variances": {"a": self.var_a.tolist(), "b": self.var_b.tolist()},
-            "cov": self.cov.tolist(),
-            "signaling_in_variance": self.signaling_in_variance,
-        }
 
 
 @dataclass(frozen=True)
 class TripartiteCorrelatorTable:
-    """Pairwise Pearson blocks for three parties with two settings each."""
+    """Pairwise Pearson blocks for three parties with two settings each. Like ``CorrelatorTable``,
+    it keeps the Python floats it checked and builds each array field, read-only, on its first read."""
 
     pearson_ab: np.ndarray            # (2, 2), [i, j]
     pearson_ac: np.ndarray            # (2, 2), [i, k]
@@ -179,23 +214,29 @@ class TripartiteCorrelatorTable:
     var_b: np.ndarray = None
     var_c: np.ndarray = None
 
+    _ARRAYS = ("pearson_ab", "pearson_ac", "pearson_bc", "var_a", "var_b", "var_c")
+
     def __post_init__(self) -> None:
-        for name in ("pearson_ab", "pearson_ac", "pearson_bc"):
-            m = np.array(getattr(self, name), dtype=np.float64)
-            x = m.ravel().tolist()
-            if m.shape != (2, 2) or not all(map(math.isfinite, x)):
+        floats = []
+        for name in self._ARRAYS[:3]:
+            m = _vector(self.__dict__.pop(name), _vector)
+            if m is None or not all(map(math.isfinite, m[0] + m[1])):
                 raise MalformedInputError(f"{name} must be a finite 2x2 block")
-            if max(map(abs, x)) > _PEARSON_MAX:
+            if max(map(abs, m[0] + m[1])) > _PEARSON_MAX:
                 raise MalformedInputError(f"{name} entries must lie in [-1, 1]")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        for name in ("var_a", "var_b", "var_c"):
-            v = getattr(self, name)
-            v = np.array((1.0, 1.0) if v is None else v, dtype=np.float64)
-            if v.shape != (2,) or not all(0.0 <= x < math.inf for x in v.tolist()):     # NaN fails
+            floats.append(m)
+        for name in self._ARRAYS[3:]:
+            v = self.__dict__.pop(name)
+            v = [1.0, 1.0] if v is None else _vector(v)
+            if v is None or not all(0.0 <= x < math.inf for x in v):     # NaN fails
                 raise MalformedInputError(f"{name} must be a nonnegative length-2 vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            floats.append(v)
+        self.__dict__["_floats"] = tuple(floats)
+
+
+for _table in (CorrelatorTable, TripartiteCorrelatorTable):    # in place of @dataclass's class-level defaults
+    for _k, _name in enumerate(_table._ARRAYS):
+        setattr(_table, _name, _Array(_name, _k))
 
 
 def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> list[float]:
@@ -221,6 +262,7 @@ def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
     marginal variance differs across the other party's settings by more than
     1e-9, the table is flagged signaling-in-variance.
     """
+    import numpy as np
     oa, ob, p = pt.outcomes_a, pt.outcomes_b, pt.p
     # each moment of the four contexts (i, j), in row-major order
     mean_a = np.einsum("ijab,a->ij", p, oa).ravel().tolist()
@@ -257,13 +299,15 @@ def chsh_combination(x):
 
 def chsh(ct: CorrelatorTable) -> float:
     """Pearson CHSH combination rho00 + rho10 + rho01 - rho11."""
-    (p00, p01), (p10, p11) = ct.require_defined().tolist()
+    (p00, p01), (p10, p11) = ct._pearson_rows()
     return p00 + p10 + p01 - p11
 
 
 def chsh_raw(ct: CorrelatorTable) -> float:
     """CHSH of the raw two-point correlators <A_i B_j> = cov + mean*mean."""
-    return float(chsh_combination(ct.cov + np.outer(ct.means_a, ct.means_b)))
+    ma, mb, _, _, cov = ct._floats[:5]
+    (e00, e01), (e10, e11) = ([c + a * b for c, b in zip(row, mb)] for row, a in zip(cov, ma))
+    return e00 + e10 + e01 - e11
 
 
 def chsh_max(entries) -> float:
@@ -303,10 +347,8 @@ def check_no_signaling(pt: ProbabilityTable, tol: float = 1e-9) -> dict:
     return report | worst
 
 
-_PR_BOX = ProbabilityTable([-1.0, 1.0], [-1.0, 1.0], [[[[0.5, 0.0], [0.0, 0.5]]] * 2,
-                                                      [[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]]]])
-
-
+@functools.cache
 def pr_box_table() -> ProbabilityTable:
     """Joint table with <A_i B_j> = (-1)^(i*j), uniform +-1 marginals: one shared, read-only table."""
-    return _PR_BOX
+    return ProbabilityTable([-1.0, 1.0], [-1.0, 1.0], [[[[0.5, 0.0], [0.0, 0.5]]] * 2,
+                                                     [[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]]]])

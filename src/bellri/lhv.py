@@ -29,7 +29,6 @@ __all__ = [
     "correlators_of",
     "statistics_of",
     "is_local",
-    "box_is_local",
     "product_cov_matrix",
 ]
 
@@ -160,28 +159,6 @@ def is_local(e, tol: float = 1e-9) -> bool:
     if np.abs(e).max() > 1.0 + tol:
         raise MalformedInputError(f"correlators out of range [-1, 1]: {e.tolist()}")
     return chsh_max(e.tolist()) <= 2.0 + tol
-
-
-def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: float = 1e-9) -> bool | None:
-    """``is_local`` on the raw correlators, or None unless a no-signaling +-1 box has the moments:
-    every second moment var + mean^2 is 1, every context's implied outcome weights
-    1 + a m_A + b m_B + a b E are >= -tol, and a probability table's ``no_signaling`` report passes.
-    """
-    if no_signaling is not None and not no_signaling["pass"]:
-        return None
-    ma, mb, va, vb, cov, _ = ct._floats
-    for v, m in zip(va + vb, ma + mb):
-        if abs(v + m * m - 1.0) > tol:
-            return None
-    rows = [[], []]
-    for row, crow, a in zip(rows, cov, ma):
-        for c, b in zip(crow, mb):
-            x = c + a * b
-            weight = min(1.0 + a + b + x, 1.0 + a - b - x, 1.0 - a + b - x, 1.0 - a - b + x)
-            if weight < -tol or abs(x) > 1.0 + tol:     # |E| beyond 1 + tol by rounding
-                return None
-            row.append(x)
-    return chsh_max(rows) <= 2.0 + tol
 
 
 def product_cov_matrix(ens: LhvEnsemble) -> np.ndarray:

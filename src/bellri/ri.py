@@ -34,9 +34,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .correlators import CorrelatorTable, TripartiteCorrelatorTable
+from .correlators import CorrelatorTable, TripartiteCorrelatorTable, chsh_max
 from .errors import MalformedInputError, PreconditionError
-from .lhv import box_is_local
 
 __all__ = [
     "RInterval",
@@ -52,6 +51,7 @@ __all__ = [
     "emit_geometry",
     "g_theta",
     "pr_box_demo",
+    "box_is_local",
     "classify",
 ]
 
@@ -127,15 +127,15 @@ def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, tuple[RInterva
     intervals (Alice's two first), feasible, epsilon.
 
     The sides do not depend on ``tol``: the first request keeps them on the table,
-    whose arrays are read-only (one with undefined Pearson entries keeps nothing
-    and raises every time). Feasible iff each side's signed gap is at most ``tol``.
+    which never changes (one with undefined Pearson entries keeps nothing and
+    raises every time). Feasible iff each side's signed gap is at most ``tol``.
     ``epsilon`` is 0.0 when feasible, else Alice's gap, or Bob's where Alice's
     intervals meet up to rounding (a tangent table's gaps can differ in sign by
     ~1e-11): never 0 then.
     """
     sides = ct.__dict__.get("_sides")
     if sides is None:
-        ctx_a, ctx_b = _pearson_contexts(ct.require_defined().tolist())
+        ctx_a, ctx_b = _pearson_contexts(ct._pearson_rows())
         a, b = _side(ctx_a, ("j=0", "j=1")), _side(ctx_b, ("i=0", "i=1"))
         ct.__dict__["_sides"] = sides = a, b, a.intervals() + b.intervals()
     a, b, intervals = sides
@@ -221,6 +221,28 @@ def ri_feasible_bipartite(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> Ve
     ``tol``). Witnesses are the midpoints of the meeting ends, a convention.
     """
     return _verdict(ct, tol, None, None)
+
+
+def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: float = 1e-9) -> bool | None:
+    """``lhv.is_local`` on the raw correlators, or None unless a no-signaling +-1 box has the moments:
+    every second moment var + mean^2 is 1, every context's implied outcome weights
+    1 + a m_A + b m_B + a b E are >= -tol, and a probability table's ``no_signaling`` report passes.
+    """
+    if no_signaling is not None and not no_signaling["pass"]:
+        return None
+    ma, mb, va, vb, cov = ct._floats[:5]
+    for v, m in zip(va + vb, ma + mb):
+        if abs(v + m * m - 1.0) > tol:
+            return None
+    rows = [[], []]
+    for row, crow, a in zip(rows, cov, ma):
+        for c, b in zip(crow, mb):
+            x = c + a * b
+            weight = min(1.0 + a + b + x, 1.0 + a - b - x, 1.0 - a + b - x, 1.0 - a - b + x)
+            if weight < -tol or abs(x) > 1.0 + tol:     # |E| beyond 1 + tol by rounding
+                return None
+            row.append(x)
+    return chsh_max(rows) <= 2.0 + tol
 
 
 def classify(ct: CorrelatorTable, *, tol: float = DEFAULT_SLACK, no_signaling: dict | None = None) -> Verdict:
@@ -315,7 +337,7 @@ def tripartite_r_intervals(
     iff every context is feasible and the intervals' signed gap is at most
     ``tol``; the witness is the midpoint of the meeting ends.
     """
-    ab, ac, bc = (m.tolist() for m in (tct.pearson_ab, tct.pearson_ac, tct.pearson_bc))
+    ab, ac, bc = tct._floats[:3]
     kept, labels, infeasible = [], [], []
     for (j, k) in contexts:
         if abs(bc[j][k]) > 1e-9:

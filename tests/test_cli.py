@@ -1,16 +1,19 @@
 """CLI tests: verbs, exit codes, JSON round trips."""
 
 import argparse
+import importlib
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellri import cli
+import bellri
+from bellri import cli, optimizer
 from bellri.cli import (
     VERBS,
     _cmd_eta_curve,
@@ -219,10 +222,23 @@ class TestFlags:
         assert accepted - handler_reads == {"out"}
 
     @pytest.mark.parametrize("verb", ["optimize", "eta-curve"])
-    def test_search_defaults_are_optconfig_defaults(self, verb):
-        args = cli.build_parser().parse_args([verb])
-        want = OptConfig()
-        assert (args.restarts, args.max_evals, args.seed) == (want.restarts, want.max_evals, want.seed)
+    def test_search_defaults_are_optconfig_defaults(self, monkeypatch, verb):
+        # the parser leaves out a search flag not given, so the OptConfig the handler
+        # builds takes that knob's one default from OptConfig itself
+        class Stop(Exception):
+            pass
+
+        configs = []
+
+        def record(*args):
+            configs.append(args[-1])
+            raise Stop
+
+        monkeypatch.setattr(optimizer, {"optimize": "maximize", "eta-curve": "trace_eta_curve"}[verb], record)
+        for argv in ([verb], [verb, "--restarts", "3", "--seed", "5"]):
+            with pytest.raises(Stop):
+                cli._VERB_TABLE[verb][0](cli.build_parser().parse_args(argv))
+        assert configs == [OptConfig(), OptConfig(restarts=3, seed=5)]
 
     @pytest.mark.parametrize("argv", [["pr-demo", "--tol", "1e-9"], ["pr-demo", "--seed", "1"],
                                       ["classify", "--seed", "1"], ["optimize", "--tol", "1e-9"],
@@ -232,6 +248,84 @@ class TestFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def imported_modules(*argv) -> set[str]:
+    """The modules a fresh ``python -X importtime -m bellri.cli <argv>`` loads, from its import-time lines."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bellri.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+class TestImportGuard:
+    """The Pearson-table verbs and ``pr-demo`` never load NumPy; the probability route loads no scenario code."""
+
+    @pytest.mark.parametrize("table", ["tangent", "moments"])
+    @pytest.mark.parametrize("verb", ["classify", "epsilon", "tlm-check", "ri-intervals", "geometry"])
+    def test_pearson_table_verbs_load_no_numpy(self, verb, table):
+        loaded = imported_modules(verb, "--input", str(GOLDEN / f"{table}.json"))
+        assert "bellri.ri" in loaded
+        assert not {m for m in loaded if m.split(".")[0] == "numpy"}
+
+    def test_pr_demo_loads_no_numpy(self):
+        loaded = imported_modules("pr-demo")
+        assert "bellri.ri" in loaded
+        assert not {m for m in loaded if m.split(".")[0] == "numpy"}
+
+    def test_probability_table_loads_no_scenario_modules(self):
+        loaded = imported_modules("classify", "--input", str(GOLDEN / "probabilities_3x3.json"))
+        assert "numpy" in loaded
+        assert not loaded & {"bellri.qmodel", "bellri.optimizer", "bellri.multiparty"}
+
+
+# every name ``bellri`` exported when its __init__ imported each submodule eagerly, by submodule
+EXPORTS = {
+    "correlators": ["CorrelatorTable", "ProbabilityTable", "TripartiteCorrelatorTable", "check_no_signaling",
+                    "chsh", "chsh_max", "chsh_raw", "from_probability_table", "pr_box_table"],
+    "errors": ["BellRIError", "DegenerateDataError", "DegenerateScenarioError", "MalformedInputError",
+               "PreconditionError"],
+    "lhv": ["DeterministicStrategy", "LhvEnsemble", "correlators_of", "enumerate_vertices", "is_local",
+            "product_cov_matrix", "statistics_of"],
+    "linalg": ["eigenvalues_sym", "is_psd"],
+    "multiparty": ["NPartyCorrelators", "ZetaArgs", "monogamy_check", "nparty_bound_check", "nparty_from_pairs",
+                   "zeta", "zeta_bound_check"],
+    "optimizer": ["OptConfig", "OptResult", "ScenarioParams", "chsh_objective", "eta_pinned_objective",
+                  "maximize", "trace_eta_curve"],
+    "qmodel": ["Observable", "QuantumMoments", "QuantumScenario", "chsh_r_tradeoff_check",
+               "eta_saturating_scenario", "higher_moment_uncertainty_check", "moments", "outcome_distribution",
+               "quantum_cov_matrix", "quantum_tlm_check", "schrodinger_robertson_check", "singlet_scenario",
+               "to_correlator_table", "tripartite_moments", "truncated_oscillator_pair", "tsirelson_eta_bound",
+               "tsirelson_scenario"],
+    "ri": ["RInterval", "Verdict", "classify", "epsilon_gap", "g_theta", "pr_box_demo", "r_interval_bipartite",
+           "ri_feasible_bipartite", "tlm_check", "tripartite_r_intervals"],
+}
+
+
+class TestLazyExports:
+    """``bellri`` loads a submodule on the first access of one of its names, then serves it from its globals."""
+
+    @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+    def test_export_resolves_and_stays(self, module, name):
+        value = getattr(bellri, name)
+        assert value is getattr(importlib.import_module(f"bellri.{module}"), name)
+        # kept in the module globals: a later ``bellri.X`` (and the bench tracer) sees a plain global
+        assert vars(bellri)[name] is value
+        assert name in bellri.__all__
+
+    def test_all_lists_exactly_the_exports(self):
+        assert sorted(bellri.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            bellri.not_a_name
+
+    def test_import_bellri_loads_no_submodule(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        code = "import sys, bellri; print(sorted(m for m in sys.modules if m.startswith(('bellri.', 'numpy'))))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
 
 
 class TestTol:
@@ -370,6 +464,10 @@ class TestGolden:
         assert captured.out == expected.read_text(encoding="utf-8")
 
 
+UNIFORM_P = [[[[0.25, 0.25], [0.25, 0.25]]] * 2] * 2
+RAGGED_P = [[[[0.25, 0.25], [0.25, 0.25]], [[0.5, 0.5]]], [[[0.25, 0.25], [0.25, 0.25]]] * 2]
+
+
 class TestMalformedTables:
     """Decoders reject bad tables with MalformedInputError, and the CLI exits 2."""
 
@@ -388,6 +486,11 @@ class TestMalformedTables:
             {"pearson": [[0.5, 0.1], [0.2, 0.3]], "variances": {"a": [True, 1]}},
             {"pearson": [[0.5, 0.1], [0.2, 0.3]], "means": {"b": [0, False]}},
             {"pearson": [[0.5, 0.1], [0.2, 0.3]], "variances": {"a": [1, 1, 1]}},
+            {"probabilities": {"outcomes_a": [-1, "x"], "outcomes_b": [-1, 1], "p": UNIFORM_P}},
+            {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": RAGGED_P}},
+            {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[[True, 0], [0, 0]]] * 2] * 2}},
+            {"pearson": [[10**400, 0.0], [0.0, 0.0]]},          # an integer past the float range
+            {"ensemble": {"weights": [10**400] + [0.0] * 15}},
         ],
     )
     def test_bipartite_decoder(self, tmp_path, capsys, payload):
@@ -397,6 +500,31 @@ class TestMalformedTables:
         code, out, err = run_cli(capsys, "classify", "--input", path)
         assert code == 2
         assert out is None and "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"pearson": [[0.5, 0.1], [0.2]]}, "pearson must be a 2x2 array of numbers"),
+            ({"pearson": [[0.5, "x"], [0.2, 0.3]]}, "pearson must be a 2x2 array of numbers"),
+            ({"pearson": [[0.5, 0.1], [0.2, 0.3], [0.0, 0.0]]}, "pearson must be 2x2, got shape (3, 2)"),
+            ({"pearson": [[0.1, 0.2], [0.3, 0.4]], "variances": {"a": ["x", 1]}},
+             "var_a must be a finite length-2 vector"),
+            ({"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, [1]], "p": []}},
+             "outcomes_b must be a rectangular array of numbers"),
+            ({"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": RAGGED_P}},
+             "p must be a rectangular array of numbers"),
+            ({"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[[True, 0], [0, 0]]] * 2] * 2}},
+             "expected numbers, got a JSON boolean"),
+        ],
+    )
+    def test_malformed_lists_name_the_field(self, tmp_path, capsys, payload, message):
+        # ragged or non-numeric lists get a message of the table's own, not NumPy's
+        with pytest.raises(MalformedInputError) as info:
+            decode_bipartite_table(payload)
+        assert str(info.value) == message
+        code, out, err = run_cli(capsys, "classify", "--input", write_json(tmp_path, "b.json", payload))
+        assert code == 2 and out is None
+        assert json.loads(err) == {"error": message}
 
     @pytest.mark.parametrize(
         "moments, message",
@@ -529,7 +657,7 @@ class TestMalformedTables:
     @pytest.mark.parametrize(
         "payload",
         [{"chsh_ab": "x", "chsh_ac": 0.0}, {"chsh_ab": 1.0, "chsh_ac": [1.0]},
-         {"chsh_ab": None, "chsh_ac": 0.0}],
+         {"chsh_ab": None, "chsh_ac": 0.0}, {"chsh_ab": 10**400, "chsh_ac": 0.0}],
     )
     def test_monogamy_handler(self, tmp_path, capsys, payload):
         path = write_json(tmp_path, "m.json", payload)
@@ -539,11 +667,15 @@ class TestMalformedTables:
         assert code == 2
         assert out is None and "error" in json.loads(err)
 
-    def test_ragged_tripartite_block(self):
+    def test_ragged_tripartite_block(self, tmp_path, capsys):
         payload = {"pearson_ab": [[0.1], [0.2, 0.3]], "pearson_ac": [[0, 0], [0, 0]],
                    "pearson_bc": [[0, 0], [0, 0]]}
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError) as info:
             decode_tripartite_table(payload)
+        assert str(info.value) == "pearson_ab must be a finite 2x2 block"
+        code, out, err = run_cli(capsys, "zeta-bound", "--input", write_json(tmp_path, "t.json", payload))
+        assert code == 2 and out is None
+        assert json.loads(err) == {"error": "pearson_ab must be a finite 2x2 block"}
 
 
 NAN, INF = float("nan"), float("inf")

@@ -122,6 +122,43 @@ class TestFromPearson:
         with pytest.raises(MalformedInputError, match="2x2"):
             CorrelatorTable.from_pearson(np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CorrelatorTable.from_pearson([[0.5, 0.1], [0.2]]), "pearson must be a 2x2 array of numbers"),
+            (lambda: CorrelatorTable.from_pearson([[0.5, "x"], [0.2, 0.3]]), "pearson must be a 2x2 array of numbers"),
+            (lambda: CorrelatorTable.from_pearson(np.zeros((3, 2))), "pearson must be 2x2, got shape (3, 2)"),
+            (lambda: CorrelatorTable.from_pearson([[0.5, 0.1], [0.2, 0.3]], means={"b": [0.0, None]}),
+             "means_b must be a finite length-2 vector"),
+            (lambda: TripartiteCorrelatorTable([[0.1, 0.2], [0.3]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+             "pearson_ab must be a finite 2x2 block"),
+            (lambda: TripartiteCorrelatorTable(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), var_c=["x", 1]),
+             "var_c must be a nonnegative length-2 vector"),
+            (lambda: ProbabilityTable([-1, [1]], [-1, 1], np.full((2, 2, 2, 2), 0.25)),
+             "outcomes_a must be a rectangular array of numbers"),
+            (lambda: ProbabilityTable([-1, 1], [-1, 1], [[[[0.5, "x"]]]]), "p must be a rectangular array of numbers"),
+        ],
+    )
+    def test_ragged_or_non_numeric_lists_name_the_field(self, build, message):
+        with pytest.raises(MalformedInputError) as info:
+            build()
+        assert str(info.value) == message
+
+
+class TestArrayFields:
+    def test_each_array_is_built_on_first_read_read_only_and_kept(self):
+        tables = [CorrelatorTable.from_pearson([[0.5, np.nan], [0.2, 0.3]]),
+                  TripartiteCorrelatorTable(np.eye(2) * 0.5, np.zeros((2, 2)), np.zeros((2, 2)))]
+        for t in tables:
+            names = [f.name for f in fields(t) if f.name != "signaling_in_variance"]
+            assert not set(names) & set(vars(t))
+            for name in names:
+                a = getattr(t, name)
+                assert getattr(t, name) is a and vars(t)[name] is a and not a.flags.writeable
+        ct, tct = tables
+        assert ct.pearson_defined.tolist() == [[True, False], [True, True]]
+        assert tct.var_c.dtype == np.float64 and tct.var_c.tolist() == [1.0, 1.0]
+
 
 class TestFromProbabilityTable:
     def test_pr_box_moments(self):
