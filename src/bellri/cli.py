@@ -4,6 +4,10 @@ One verb per invocation. Exit status 0 means pass/feasible, 1 means
 fail/infeasible, 2 means the input could not be parsed or validated. All
 numeric output uses Python's shortest round-trip float representation, so
 emitted JSON re-parses to bit-identical doubles.
+
+The five table verbs share one handler, ``_cmd_table``: it prints the verb's
+view of the table's one ``ri.Verdict`` and exits 0 iff it is ``ri_feasible``,
+so every table verb gives the same exit code on the same table.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import ri
 from .correlators import (
@@ -20,7 +25,6 @@ from .correlators import (
     ProbabilityTable,
     TripartiteCorrelatorTable,
     check_no_signaling,
-    chsh,
     chsh_combination,
     from_probability_table,
     pr_box_table,
@@ -85,9 +89,12 @@ def _float(payload: dict, key: str) -> float:
 
 
 def _numbers(text: str, kind, what: str) -> list:
-    """A comma-separated command-line list, each entry read by ``kind`` (int or float)."""
+    """A comma-separated command-line list, each entry read by ``kind`` (int or float); a blank
+    entry among numbers is malformed, and a list of blanks alone (``","``) is empty."""
+    if not text.replace(",", "").strip():
+        return []
     try:
-        return [kind(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",")]
     except ValueError as exc:
         raise MalformedInputError(f"{what} must list comma-separated numbers, got {text!r}") from exc
 
@@ -114,7 +121,8 @@ def decode_bipartite_table(payload: dict) -> tuple[CorrelatorTable, ProbabilityT
         return from_probability_table(pt), pt
     if "ensemble" in payload:
         from . import lhv
-        weights = _float_array(_require(payload["ensemble"], "weights"))
+        weights = _require(payload["ensemble"], "weights")
+        _no_booleans(weights)               # the ensemble converts the weights once
         return lhv.correlators_of(lhv.LhvEnsemble(weights)), None
     if "pearson" in payload:
         pe, variances, means = payload["pearson"], payload.get("variances"), payload.get("means")
@@ -185,41 +193,12 @@ def decode_nparty(payload: dict) -> tuple[multiparty.NPartyCorrelators, float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args) -> tuple[dict, int]:
-    payload = _read_payload(args.input)
-    ct, pt = decode_bipartite_table(payload)
+def _cmd_table(view, args) -> tuple[dict, int]:
+    """Every table verb: the table's one verdict, the verb's ``view`` of it, exit 0 iff it is feasible."""
+    ct, pt = decode_bipartite_table(_read_payload(args.input))
     ns_report = check_no_signaling(pt, tol=args.tol) if pt is not None else None
     verdict = ri.classify(ct, tol=args.tol, no_signaling=ns_report)
-    return verdict.to_json_dict(), 0 if verdict.ri_feasible else 1
-
-
-def _cmd_ri_intervals(args) -> tuple[dict, int]:
-    ct, _ = decode_bipartite_table(_read_payload(args.input))
-    v = ri.ri_feasible_bipartite(ct, tol=args.tol)
-    out = {
-        "intervals": [iv.to_json_dict() for iv in v.intervals],
-        "feasible": v.ri_feasible,
-        "witness_r": v.witness_r,
-        "witness_r_bar": v.witness_r_bar,
-    }
-    return out, 0 if v.ri_feasible else 1
-
-
-def _cmd_tlm_check(args) -> tuple[dict, int]:
-    ct, _ = decode_bipartite_table(_read_payload(args.input))
-    res = ri.tlm_check(ct, tol=args.tol)
-    out = {
-        "pass": res.passed,
-        "rows": [dict(lhs=x, rhs=y, slack=z) for x, y, z in zip(res.lhs, res.rhs, res.slack)],
-        "chsh": chsh(ct),
-    }
-    return out, 0 if res.passed else 1
-
-
-def _cmd_epsilon(args) -> tuple[dict, int]:
-    ct, _ = decode_bipartite_table(_read_payload(args.input))
-    eps = ri.epsilon_gap(ct, tol=args.tol)
-    return {"epsilon": eps}, 0 if eps == 0.0 else 1
+    return view(verdict), 0 if verdict.ri_feasible else 1
 
 
 def _cmd_pr_demo(args) -> tuple[dict, int]:
@@ -343,18 +322,12 @@ def _cmd_eta_curve(args) -> tuple[dict, int]:
     return {"points": pts}, 0
 
 
-def _cmd_geometry(args) -> tuple[dict, int]:
-    ct, _ = decode_bipartite_table(_read_payload(args.input))
-    out = ri.emit_geometry(ct, tol=args.tol)
-    return out, 0 if out["gap"] == 0.0 else 1
-
-
 # verb -> (handler, reads a payload: takes --input and --tol); the order is the --help order
 _VERB_TABLE = {
-    "classify": (_cmd_classify, True),
-    "ri-intervals": (_cmd_ri_intervals, True),
-    "tlm-check": (_cmd_tlm_check, True),
-    "epsilon": (_cmd_epsilon, True),
+    "classify": (partial(_cmd_table, ri.Verdict.to_json_dict), True),
+    "ri-intervals": (partial(_cmd_table, ri.Verdict.ri_intervals_view), True),
+    "tlm-check": (partial(_cmd_table, ri.Verdict.tlm_view), True),
+    "epsilon": (partial(_cmd_table, ri.Verdict.epsilon_view), True),
     "pr-demo": (_cmd_pr_demo, False),
     "simulate": (_cmd_simulate, True),
     "quantum-bound": (_cmd_quantum_bound, True),
@@ -364,7 +337,7 @@ _VERB_TABLE = {
     "zeta-bound": (_cmd_zeta_bound, True),
     "optimize": (_cmd_optimize, False),
     "eta-curve": (_cmd_eta_curve, False),
-    "geometry": (_cmd_geometry, True),
+    "geometry": (partial(_cmd_table, ri.Verdict.geometry_view), True),
 }
 
 VERBS = tuple(_VERB_TABLE)

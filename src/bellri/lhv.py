@@ -70,7 +70,10 @@ class LhvEnsemble:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
+        try:
+            w = np.array(self.weights, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:     # a non-number, ragged, or a huge int
+            raise MalformedInputError("weights must be an array of numbers in the float range") from exc
         if w.shape != (16,):
             raise MalformedInputError(f"weights must have length 16, got shape {w.shape}")
         if not all(-1e-15 <= x < np.inf for x in w.tolist()):     # NaN fails

@@ -118,8 +118,8 @@ def zeta_bound_check(
     ]
     side = _side(contexts, ("ctx1", "ctx2"))
     diagonals_ok = min(min(d0, d1) for _, d0, d1 in contexts) >= -tol
-    return {"lhs": abs(side.c[0] - side.c[1]), "rhs": side.h[0] + side.h[1],
-            "pass": side.gap <= tol and diagonals_ok,
+    lhs, rhs = side.row
+    return {"lhs": lhs, "rhs": rhs, "pass": side.gap <= tol and diagonals_ok,
             "zeta": {"ctx1": side.c[0], "ctx2": side.c[1]}}
 
 

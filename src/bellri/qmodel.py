@@ -430,8 +430,8 @@ def quantum_tlm_check(sc: QuantumScenario, tol: float = 1e-9) -> dict:
     a = _side(ctx_a, ("j=0", "j=1"), mom.eta_a**2)
     b = _side(ctx_b, ("i=0", "i=1"), mom.eta_b**2)
     return {
-        "row1": {"lhs": abs(a.c[0] - a.c[1]), "rhs": a.h[0] + a.h[1]},
-        "row2": {"lhs": abs(b.c[0] - b.c[1]), "rhs": b.h[0] + b.h[1]},
+        "row1": dict(zip(("lhs", "rhs"), a.row)),
+        "row2": dict(zip(("lhs", "rhs"), b.row)),
         "per_context": [
             {"j": j, "lhs": d0 * d1, "rhs": (mom.nu_a - c) ** 2 + mom.eta_a**2}
             for j, (c, d0, d1) in enumerate(ctx_a)

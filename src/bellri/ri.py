@@ -17,8 +17,10 @@ the two-row correlator bound. ``tol`` is one additive slack on g.
 Bipartite tables give Alice two contexts, Bob's settings j, with
 z01 = rho_0j rho_1j and 1 - z_ii = 1 - rho_ij^2, and Bob the role-swapped
 two. A table is feasible iff g_A <= tol and g_B <= tol (so the saturation
-configurations, which touch at one point, are feasible), and the correlator
-bound, both witnesses, ``epsilon`` and the geometry relation follow.
+configurations, which touch at one point, are feasible). One record per
+table, ``Verdict``, holds both sides and what follows from them: the
+correlator bound, both witnesses, ``epsilon`` and the geometry relation. Each
+table verb prints one of its five views and exits 0 iff it is ``ri_feasible``.
 
 The tripartite variant admits a third uncorrelated party and gives four
 contexts (j, k), with z01 = rho_ab_0j rho_ab_1j + rho_ac_0k rho_ac_1k and
@@ -31,10 +33,10 @@ their contexts to the same rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .correlators import CorrelatorTable, TripartiteCorrelatorTable, chsh_max
+from .correlators import CorrelatorTable, TripartiteCorrelatorTable, chsh, chsh_max
 from .errors import MalformedInputError, PreconditionError
 
 __all__ = [
@@ -89,6 +91,11 @@ class _Side(NamedTuple):
     def intervals(self) -> tuple[RInterval, ...]:
         return tuple([RInterval(c - h, c + h, label) for label, c, h in zip(self.labels, self.c, self.h)])
 
+    @property
+    def row(self) -> tuple[float, float]:
+        """A two-context side's row of the two-row bound: |c_0 - c_1| against h_0 + h_1."""
+        return abs(self.c[0] - self.c[1]), self.h[0] + self.h[1]
+
 
 def _side(contexts, labels, shrink: float = 0.0) -> _Side:
     """The admissible-interval rule: each context's (z01, 1 - z00, 1 - z11) gives z01 +- h.
@@ -122,39 +129,7 @@ def _pearson_contexts(rows) -> tuple[tuple, tuple]:
     return ((p00 * p10, d00, d10), (p01 * p11, d01, d11)), ((p00 * p01, d00, d01), (p10 * p11, d10, d11))
 
 
-def _gaps(ct: CorrelatorTable, tol: float) -> tuple[_Side, _Side, tuple[RInterval, ...], bool, float]:
-    """Alice's side (r' under Bob's j), Bob's side (r-bar' under Alice's i), their four
-    intervals (Alice's two first), feasible, epsilon.
-
-    The sides do not depend on ``tol``: the first request keeps them on the table,
-    which never changes (one with undefined Pearson entries keeps nothing and
-    raises every time). Feasible iff each side's signed gap is at most ``tol``.
-    ``epsilon`` is 0.0 when feasible, else Alice's gap, or Bob's where Alice's
-    intervals meet up to rounding (a tangent table's gaps can differ in sign by
-    ~1e-11): never 0 then.
-    """
-    sides = ct.__dict__.get("_sides")
-    if sides is None:
-        ctx_a, ctx_b = _pearson_contexts(ct._pearson_rows())
-        a, b = _side(ctx_a, ("j=0", "j=1")), _side(ctx_b, ("i=0", "i=1"))
-        ct.__dict__["_sides"] = sides = a, b, a.intervals() + b.intervals()
-    a, b, intervals = sides
-    feasible = a.gap <= tol and b.gap <= tol
-    return a, b, intervals, feasible, 0.0 if feasible else a.gap if a.gap > 0.0 else b.gap
-
-
-def r_interval_bipartite(ct: CorrelatorTable, j: int) -> RInterval:
-    """Admissible r' for Alice when the remote side uses setting j."""
-    return _gaps(ct, DEFAULT_SLACK)[2][:2][j]
-
-
-def r_interval_swapped(ct: CorrelatorTable, i: int) -> RInterval:
-    """Role-swapped interval: admissible r-bar' for Bob under Alice's setting i."""
-    return _gaps(ct, DEFAULT_SLACK)[2][2:][i]
-
-
-@dataclass(frozen=True)
-class TlmResult:
+class TlmResult(NamedTuple):
     passed: bool
     lhs: tuple[float, float]
     rhs: tuple[float, float]
@@ -164,30 +139,32 @@ class TlmResult:
         return (self.rhs[0] - self.lhs[0], self.rhs[1] - self.lhs[1])
 
 
-def tlm_check(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> TlmResult:
-    """Two-row correlator bound on the Pearson entries; it passes iff the table is feasible.
+class Verdict(NamedTuple):
+    """The one record of a bipartite table: every verdict on it, and each table verb's JSON, reads it.
 
-    Row 1:  |rho00 rho10 - rho01 rho11| <= sum_j h_j
-    Row 2:  |rho00 rho01 - rho10 rho11| <= sum_i h_i  (roles swapped)
+    ``alice`` holds r' under Bob's settings j, ``bob`` r-bar' under Alice's i;
+    they, ``intervals`` and ``chsh`` (Pearson CHSH) do not depend on ``tol``.
+    ``ri_feasible`` (= ``quantum_compatible``) iff each side's signed gap is at
+    most ``tol``; the witnesses are then the meeting points. ``epsilon`` is 0.0
+    when feasible, else Alice's gap, or Bob's where Alice's intervals meet up to
+    rounding (a tangent table's gaps can differ in sign by ~1e-11): never 0 then.
+    ``local`` is ``classify``'s. The five views are ``to_json_dict`` (``classify``)
+    and the four ``*_view`` methods; every table verb exits 0 iff ``ri_feasible``.
     """
-    a, b, _, feasible, _ = _gaps(ct, tol)
-    return TlmResult(passed=feasible, lhs=(abs(a.c[0] - a.c[1]), abs(b.c[0] - b.c[1])),
-                     rhs=(a.h[0] + a.h[1], b.h[0] + b.h[1]))
 
-
-@dataclass(frozen=True)
-class Verdict:
-    """Classification of a bipartite correlator table."""
-
+    alice: _Side
+    bob: _Side
+    tol: float
     local: bool | None
-    quantum_compatible: bool
+    no_signaling: dict | None
+    signaling_in_variance: bool
     ri_feasible: bool
+    quantum_compatible: bool
     witness_r: float | None
     witness_r_bar: float | None
     epsilon: float
-    intervals: tuple[RInterval, ...] = field(default_factory=tuple)
-    signaling_in_variance: bool = False
-    no_signaling: dict | None = None
+    intervals: tuple[RInterval, ...]     # Alice's two, then Bob's two
+    chsh: float
 
     def to_json_dict(self) -> dict:
         out = {
@@ -205,13 +182,71 @@ class Verdict:
             out["no_signaling"] = self.no_signaling
         return out
 
+    def ri_intervals_view(self) -> dict:
+        return {
+            "intervals": [iv.to_json_dict() for iv in self.intervals],
+            "feasible": self.ri_feasible,
+            "witness_r": self.witness_r,
+            "witness_r_bar": self.witness_r_bar,
+        }
 
-def _verdict(ct: CorrelatorTable, tol: float, local: bool | None, no_signaling: dict | None) -> Verdict:
-    a, b, intervals, feasible, epsilon = _gaps(ct, tol)
-    return Verdict(local=local, quantum_compatible=feasible, ri_feasible=feasible,
-                   witness_r=a.mid if feasible else None, witness_r_bar=b.mid if feasible else None,
-                   epsilon=epsilon, intervals=intervals, signaling_in_variance=ct.signaling_in_variance,
-                   no_signaling=no_signaling)
+    def tlm_view(self) -> dict:
+        rows = [{"lhs": lhs, "rhs": rhs, "slack": rhs - lhs} for lhs, rhs in (self.alice.row, self.bob.row)]
+        return {"pass": self.ri_feasible, "rows": rows, "chsh": self.chsh}
+
+    def epsilon_view(self) -> dict:
+        return {"epsilon": self.epsilon}
+
+    def geometry_view(self) -> dict:
+        a, intervals, tol = self.alice, self.intervals[:2], self.tol
+        out = {
+            "circles": [
+                {"context": iv.context, "center": 0.5 * (iv.lo + iv.hi), "radius": 0.5 * (iv.hi - iv.lo)}
+                for iv in intervals
+            ],
+            "relation": "disjoint" if a.gap > tol else "tangent" if a.gap >= -tol else "overlapping",
+            "gap": self.epsilon,
+            "intervals": [iv.to_json_dict() for iv in intervals],
+        }
+        if out["relation"] == "tangent":
+            out["intersection_point"] = [a.mid, 0.0]
+        return out
+
+
+def _verdict(ct: CorrelatorTable, tol: float,
+             local: bool | None = None, no_signaling: dict | None = None) -> Verdict:
+    """The table's ``Verdict``. The first request keeps its tol-independent part on the table, which
+    never changes; a table with undefined Pearson entries keeps nothing and raises every time."""
+    kept = ct.__dict__.get("_sides")
+    if kept is None:
+        ctx_a, ctx_b = _pearson_contexts(ct._pearson_rows())
+        a, b = _side(ctx_a, ("j=0", "j=1")), _side(ctx_b, ("i=0", "i=1"))
+        ct.__dict__["_sides"] = kept = a, b, a.intervals() + b.intervals(), chsh(ct)
+    a, b, intervals, chsh_value = kept
+    feasible = a.gap <= tol and b.gap <= tol
+    return Verdict(a, b, tol, local, no_signaling, ct.signaling_in_variance, feasible, feasible,
+                   a.mid if feasible else None, b.mid if feasible else None,
+                   0.0 if feasible else a.gap if a.gap > 0.0 else b.gap, intervals, chsh_value)
+
+
+def r_interval_bipartite(ct: CorrelatorTable, j: int) -> RInterval:
+    """Admissible r' for Alice when the remote side uses setting j."""
+    return _verdict(ct, DEFAULT_SLACK).intervals[:2][j]
+
+
+def r_interval_swapped(ct: CorrelatorTable, i: int) -> RInterval:
+    """Role-swapped interval: admissible r-bar' for Bob under Alice's setting i."""
+    return _verdict(ct, DEFAULT_SLACK).intervals[2:][i]
+
+
+def tlm_check(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> TlmResult:
+    """Two-row correlator bound on the Pearson entries; it passes iff the table is feasible.
+
+    Row 1:  |rho00 rho10 - rho01 rho11| <= sum_j h_j
+    Row 2:  |rho00 rho01 - rho10 rho11| <= sum_i h_i  (roles swapped)
+    """
+    v = _verdict(ct, tol)
+    return TlmResult(v.ri_feasible, *zip(v.alice.row, v.bob.row))
 
 
 def ri_feasible_bipartite(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> Verdict:
@@ -220,7 +255,7 @@ def ri_feasible_bipartite(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> Ve
     Feasible iff Alice's two intervals and Bob's two meet (signed gaps at most
     ``tol``). Witnesses are the midpoints of the meeting ends, a convention.
     """
-    return _verdict(ct, tol, None, None)
+    return _verdict(ct, tol)
 
 
 def box_is_local(ct: CorrelatorTable, no_signaling: dict | None = None, tol: float = 1e-9) -> bool | None:
@@ -261,30 +296,18 @@ def epsilon_gap(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> float:
     |rho00 rho10 - rho01 rho11 +- h_0 +- h_1|, and the least detectable
     signaling magnitude in the in-principle estimation protocol.
     """
-    return _gaps(ct, tol)[4]
+    return _verdict(ct, tol).epsilon
 
 
 def emit_geometry(ct: CorrelatorTable, tol: float = DEFAULT_SLACK) -> dict:
-    """Disk geometry of the two admissible regions in the r' plane.
+    """Disk geometry of the two admissible regions in the r' plane, ``Verdict.geometry_view``.
 
     Each remote setting confines the normalized uncertainty parameter to a
     disk centered on the real axis; the real-axis restriction is the pair of
     feasibility intervals, disjoint, tangent or overlapping as Alice's signed
     gap is above ``tol``, within it of 0, or below. ``gap`` is ``epsilon_gap``.
     """
-    a, _, intervals, _, epsilon = _gaps(ct, tol)
-    out = {
-        "circles": [
-            {"context": iv.context, "center": 0.5 * (iv.lo + iv.hi), "radius": 0.5 * (iv.hi - iv.lo)}
-            for iv in intervals[:2]
-        ],
-        "relation": "disjoint" if a.gap > tol else "tangent" if a.gap >= -tol else "overlapping",
-        "gap": epsilon,
-        "intervals": [iv.to_json_dict() for iv in intervals[:2]],
-    }
-    if out["relation"] == "tangent":
-        out["intersection_point"] = [a.mid, 0.0]
-    return out
+    return _verdict(ct, tol).geometry_view()
 
 
 def g_theta(theta: float, sigma0: float, sigma1: float) -> float:
@@ -391,7 +414,7 @@ def pr_box_demo() -> dict:
         }
         for iv in res.intervals
     }
-    box = CorrelatorTable.from_pearson(ac)
+    box = ri_feasible_bipartite(CorrelatorTable.from_pearson(ac))
     return {
         "correlations_ac": ac,
         "forced_pearson_ab": 0.0,
@@ -399,6 +422,6 @@ def pr_box_demo() -> dict:
         "r_table": [[iv.lo for iv in res.intervals[j : j + 2]] for j in (0, 2)],
         "contexts": contexts,
         "common_r_exists": res.feasible,
-        "epsilon": epsilon_gap(box),
-        "intervals": [r_interval_bipartite(box, j).to_json_dict() for j in (0, 1)],
+        "epsilon": box.epsilon,
+        "intervals": [iv.to_json_dict() for iv in box.intervals[:2]],
     }

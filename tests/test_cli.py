@@ -274,8 +274,10 @@ class TestImportGuard:
         assert "bellri.ri" in loaded
         assert not {m for m in loaded if m.split(".")[0] == "numpy"}
 
-    def test_probability_table_loads_no_scenario_modules(self):
-        loaded = imported_modules("classify", "--input", str(GOLDEN / "probabilities_3x3.json"))
+    @pytest.mark.parametrize("verb", ["classify", "epsilon", "tlm-check", "ri-intervals", "geometry"])
+    def test_probability_table_loads_no_scenario_modules(self, verb):
+        # every table verb runs check_no_signaling and box_is_local on a probability table
+        loaded = imported_modules(verb, "--input", str(GOLDEN / "probabilities_3x3.json"))
         assert "numpy" in loaded
         assert not loaded & {"bellri.qmodel", "bellri.optimizer", "bellri.multiparty"}
 
@@ -491,6 +493,9 @@ class TestMalformedTables:
             {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[[True, 0], [0, 0]]] * 2] * 2}},
             {"pearson": [[10**400, 0.0], [0.0, 0.0]]},          # an integer past the float range
             {"ensemble": {"weights": [10**400] + [0.0] * 15}},
+            {"ensemble": {"weights": [0.0625] * 15 + ["a"]}},
+            {"ensemble": {"weights": "x" * 16}},
+            {"ensemble": {"weights": [True] + [0.0] * 15}},
         ],
     )
     def test_bipartite_decoder(self, tmp_path, capsys, payload):
@@ -515,6 +520,9 @@ class TestMalformedTables:
              "p must be a rectangular array of numbers"),
             ({"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[[True, 0], [0, 0]]] * 2] * 2}},
              "expected numbers, got a JSON boolean"),
+            ({"ensemble": {"weights": [0.5, {"w": 1}]}}, "weights must be an array of numbers in the float range"),
+            ({"ensemble": {"weights": [10**400] + [0.0] * 15}}, "weights must be an array of numbers in the float range"),
+            ({"ensemble": {"weights": [[0.0625] * 2] * 8}}, "weights must have length 16, got shape (8, 2)"),
         ],
     )
     def test_malformed_lists_name_the_field(self, tmp_path, capsys, payload, message):
@@ -744,20 +752,24 @@ class TestMalformedArguments:
             "pearson_ac": [[0.2, 0.1], [-0.3, 0.2]],
             "pearson_bc": [[0.1, -0.1], [0.2, 0.0]],
         })
-        for context in ("a,b", "0,2"):
+        for context in ("a,b", "0,2", "0,,1", "0,1,"):
             with pytest.raises(MalformedInputError):
                 _cmd_zeta_bound(argparse.Namespace(input=path, context=context, context2="1,1", tol=1e-9))
             code, out, err = run_cli(capsys, "zeta-bound", "--input", path, "--context", context)
             assert code == 2
             assert out is None and "error" in json.loads(err)
+            if context in ("0,,1", "0,1,"):             # a blank entry beside numbers is no number
+                assert json.loads(err)["error"] == f"contexts must list comma-separated numbers, got {context!r}"
 
     def test_eta_curve_etas_not_numbers(self, capsys):
-        args = argparse.Namespace(etas="x", restarts=1, max_evals=50, seed=0, tol=1e-9)
-        with pytest.raises(MalformedInputError):
-            _cmd_eta_curve(args)
-        code, out, err = run_cli(capsys, "eta-curve", "--etas", "x", "--restarts", "1")
-        assert code == 2
-        assert out is None and "error" in json.loads(err)
+        for etas in ("x", "0.5,,0.9"):                  # a blank entry beside numbers is no number
+            args = argparse.Namespace(etas=etas, restarts=1, max_evals=50, seed=0, tol=1e-9)
+            with pytest.raises(MalformedInputError):
+                _cmd_eta_curve(args)
+            code, out, err = run_cli(capsys, "eta-curve", "--etas", etas, "--restarts", "1")
+            assert code == 2
+            assert out is None
+            assert json.loads(err) == {"error": f"--etas must list comma-separated numbers, got {etas!r}"}
 
     def test_eta_curve_empty_targets(self, capsys):
         with pytest.raises(MalformedInputError, match="eta targets"):

@@ -47,6 +47,15 @@ class TestEnsembles:
         with pytest.raises(MalformedInputError):
             LhvEnsemble(-np.ones(16) / 16.0)
 
+    @pytest.mark.parametrize("weights", [[0.5, {"w": 1}], [0.0625] * 15 + ["a"], "x" * 16,
+                                         [10**400] + [0.0] * 15])
+    def test_unconvertible_weights_name_the_field(self, weights):
+        # a non-number, a string and an integer past the float range: NumPy raises TypeError,
+        # ValueError or OverflowError, and the ensemble turns each into one named message
+        with pytest.raises(MalformedInputError) as info:
+            LhvEnsemble(weights)
+        assert str(info.value) == "weights must be an array of numbers in the float range"
+
     def test_weight_sum_message_prints_a_plain_number(self):
         w = np.zeros(16)
         w[:3] = 0.5

@@ -25,7 +25,7 @@ from conftest import (
 from oracles import bordered_oracle, tlm_arcsine_slack
 
 from bellri.cli import VERBS, decode_bipartite_table, main
-from bellri.correlators import CorrelatorTable, TripartiteCorrelatorTable, check_no_signaling
+from bellri.correlators import CorrelatorTable, TripartiteCorrelatorTable, check_no_signaling, chsh
 from bellri.multiparty import zeta_bound_check
 from bellri.qmodel import moments
 from bellri.ri import (
@@ -145,6 +145,16 @@ def test_table_verbs_agree_and_round_trip(seed, kind):
     ct, pt = decode_bipartite_table(payload)
     ns = None if pt is None else check_no_signaling(pt)
     assert json.loads(out) == classify(ct, no_signaling=ns).to_json_dict()
+    v = ri_feasible_bipartite(ct)
+    assert json.loads(runs["ri-intervals"][1]) == {
+        "intervals": [iv.to_json_dict() for iv in v.intervals], "feasible": v.ri_feasible,
+        "witness_r": v.witness_r, "witness_r_bar": v.witness_r_bar,
+    }
+    t = tlm_check(ct)
+    assert json.loads(runs["tlm-check"][1]) == {
+        "pass": t.passed, "rows": [{"lhs": x, "rhs": y, "slack": z} for x, y, z in zip(t.lhs, t.rhs, t.slack)],
+        "chsh": chsh(ct),
+    }
     assert json.loads(runs["epsilon"][1]) == {"epsilon": epsilon_gap(ct)}
     assert json.loads(runs["geometry"][1]) == emit_geometry(ct)
 
