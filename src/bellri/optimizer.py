@@ -5,14 +5,17 @@ two-qubit state (unit norm by construction), and each of the four observables
 is a unit Bloch vector from two polar angles, so every parameter vector
 decodes to a valid scenario; there are no constraints to project onto.
 
-``_two_qubit_moments`` maps an (R, 14) block of vectors in closed form to one
-``QuantumMoments`` record with a leading batch axis, each row computed alone,
-plus a mask of the rows with a vanishing variance (its oracle is
-``moments(ScenarioParams.from_vector(x).decode())``). An objective scores the
-record elementwise, one value per row (a scalar broadcasts): index
-``mom.pearson[..., i, j]`` and use NumPy, not ``float`` or ``math``. Masked
-rows score ``DEGENERATE_PENALTY``; a non-finite value on another row aborts
-with ``ObjectiveError`` naming its parameters.
+``_two_qubit_moments`` maps an (R, 14) block of vectors in closed form to its
+own record, each row computed alone: ``QuantumMoments``' field names, each
+field batched with a leading (R,) axis and built from the map's work block on
+first read. It also returns a mask of the rows with a vanishing variance (its
+oracle is ``moments(ScenarioParams.from_vector(x).decode())``). An objective
+gets that record and scores it elementwise, one value per row (a scalar
+broadcasts; any other shape raises ``ObjectiveError``): index
+``mom.pearson[..., i, j]`` and use NumPy, not ``float`` or ``math``. It may be
+handed rows that no search consumes, which never count, so it must be pure
+and elementwise. Masked rows score ``DEGENERATE_PENALTY``; a non-finite value
+on another consumed row aborts with ``ObjectiveError`` naming its parameters.
 
 The optimizer is a Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308,
 1965) with deterministic multistart: restart r starts from a generator seeded
@@ -21,14 +24,18 @@ vertex at a smaller scale. All restarts (and eta targets) run in lockstep: a
 simplex is a generator that keeps its control flow and budget and yields
 requests to ``_lockstep``, whose steps sort every simplex, build the points
 asked for and score every pending row at once (one map call, one call per
-objective). Each restart's result equals that restart run alone, bit for
-bit, and ties between restarts go to the lowest index.
+objective). A reflection's expansion and contraction are mapped with it, so
+a search that asks for one gets it in the same step (the idea of evaluating
+a direct search's candidate points together is from Dennis & Torczon, SIAM
+J. Optim. 1, 448, 1991). Each restart's result equals that restart run
+alone, bit for bit, and ties between restarts go to the lowest index.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +66,7 @@ PIN_TOL = 1e-3              # |realized |eta_A| - target| of a feasible curve po
 
 
 class ObjectiveError(BellRIError):
-    """Objective returned a non-finite value; aborts with a parameter dump."""
+    """Objective returned a non-finite value (aborts with a parameter dump) or a result of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,44 @@ def _products(w: np.ndarray, pairs) -> np.ndarray:
     return np.multiply(terms[0], terms[1], out=terms[0])
 
 
-def _two_qubit_moments(x) -> tuple[QuantumMoments, np.ndarray]:
+class _View:
+    """A field of ``_Moments``: its view of the map's work block, built on first read, then kept."""
+
+    def __init__(self, view) -> None:
+        self.view = view
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, mom, owner=None):
+        if mom is None:
+            return self
+        mom.__dict__[self.name] = value = self.view(mom.wt)
+        return value
+
+
+class _Moments:
+    """The map's record: ``QuantumMoments``' field names, each field with a leading row axis.
+
+    ``wt`` is the work block from _ACC on, transposed (row first): means at 0-3,
+    Re r_q per party at 16-17, cov at 18-21, -Im r_q per party at 22-23,
+    variances at 24-27, then nu, Pearson and eta at 32-39.
+    """
+
+    mean_a, mean_b = _View(lambda wt: wt[:, :2]), _View(lambda wt: wt[:, 2:4])
+    var_a, var_b = _View(lambda wt: wt[:, 24:26]), _View(lambda wt: wt[:, 26:28])
+    cov = _View(lambda wt: wt[:, 18:22].reshape(-1, 2, 2))
+    pearson = _View(lambda wt: wt[:, 34:38].reshape(-1, 2, 2))
+    eta_a, eta_b = _View(lambda wt: wt[:, 38]), _View(lambda wt: wt[:, 39])
+    nu_a, nu_b = _View(lambda wt: wt[:, 32]), _View(lambda wt: wt[:, 33])
+    r_q_a = _View(lambda wt: wt[:, 16] - 1j * wt[:, 22])
+    r_q_b = _View(lambda wt: wt[:, 17] - 1j * wt[:, 23])
+
+    def __init__(self, wt: np.ndarray) -> None:
+        self.wt = wt
+
+
+def _two_qubit_moments(x) -> tuple[_Moments, np.ndarray]:
     """Moments of the scenarios an (R, 14) parameter block decodes to, in closed form.
 
     Each observable is a unit Bloch vector n, so with the state's Bloch
@@ -234,13 +278,8 @@ def _two_qubit_moments(x) -> tuple[QuantumMoments, np.ndarray]:
     degenerate = np.logical_or.reduce(diff <= _VAR_FLOOR)
     np.maximum(diff, _FLOORS, out=w[_ACC + 24:_ACC + 32].reshape(2, 4, r))   # var, then floored
     # acc[16:]: Re r_q per party, cov, -Im r_q per party; divided: nu, Pearson, eta
-    ratio = np.divide(acc[16:], np.sqrt(prod := _products(w, _VAR_PAIRS), out=prod),
-                      out=w[_ACC + 32:_ACC + 40])
-    r_q = acc[16:18] - 1j * acc[22:]
-    wt = w[_ACC:].T                         # means, cov, variances and ratios, row first
-    return QuantumMoments(wt[:, :2], wt[:, 2:4], wt[:, 24:26], wt[:, 26:28],
-                          wt[:, 18:22].reshape(r, 2, 2), wt[:, 34:38].reshape(r, 2, 2),
-                          ratio[6], ratio[7], ratio[0], ratio[1], *r_q), degenerate
+    np.divide(acc[16:], np.sqrt(prod := _products(w, _VAR_PAIRS), out=prod), out=w[_ACC + 32:_ACC + 40])
+    return _Moments(w[_ACC:].T), degenerate
 
 
 class _Evaluator:
@@ -251,30 +290,54 @@ class _Evaluator:
         self.count = self.degenerate_hits = 0
         self.maximum = -math.inf
 
+    def charge(self, value: float, degenerate, point: np.ndarray) -> None:
+        """Count one row mapped ahead of its request, once its search asks for it."""
+        if not math.isfinite(value):
+            raise _nonfinite(value, point)
+        self.count += 1
+        self.degenerate_hits += bool(degenerate)
+        self.maximum = max(self.maximum, value)
 
-def _score(x: np.ndarray, groups: list) -> np.ndarray:
-    """Objective values of the rows x, each [evaluator, lo, hi] of groups scoring rows lo:hi."""
+
+def _nonfinite(value: float, point: np.ndarray) -> ObjectiveError:
+    return ObjectiveError(f"objective returned {value!r} at parameters {point.tolist()}")
+
+
+def _score(x: np.ndarray, groups: list) -> tuple[np.ndarray, np.ndarray]:
+    """Objective values of the rows x and their degeneracy mask.
+
+    Each [evaluator, lo, hi, a, b] of groups scores rows lo:hi, checked and
+    charged here, and rows n + a:n + b (n the last group's hi), mapped ahead
+    and charged by ``_Evaluator.charge`` only when their search asks.
+    """
     mom, degenerate = _two_qubit_moments(x)
-    vals = np.empty(len(x))
-    for ev, lo, hi in groups:
-        out = ev.objective(mom)
-        vals[lo:hi] = out[lo:hi] if np.ndim(out) else out
+    n, vals = groups[-1][2], np.empty(len(x))
+    for ev, lo, hi, a, b in groups:
+        shape = np.shape(out := ev.objective(mom))
+        if shape == (len(x),):
+            vals[lo:hi], vals[n + a:n + b] = out[lo:hi], out[n + a:n + b]
+        elif shape == ():
+            vals[lo:hi] = vals[n + a:n + b] = out
+        else:
+            raise ObjectiveError(f"objective returned shape {shape} for {len(x)} rows, "
+                                 "not a scalar or one value per row")
     if hit := np.count_nonzero(degenerate):
         vals[degenerate] = DEGENERATE_PENALTY
-    finite = np.isfinite(vals)
-    if np.count_nonzero(finite) < len(vals):
+    finite = np.isfinite(vals[:n])
+    if np.count_nonzero(finite) < n:
         i = int(finite.argmin())
-        raise ObjectiveError(f"objective returned {float(vals[i])!r} at parameters {x[i].tolist()}")
-    for ev, lo, hi in groups:
+        raise _nonfinite(float(vals[i]), x[i])
+    for ev, lo, hi, _, _ in groups:
         ev.count += hi - lo
         ev.degenerate_hits += np.count_nonzero(degenerate[lo:hi]) if hit else 0
         ev.maximum = max(ev.maximum, float(np.maximum.reduce(vals[lo:hi])))
-    return vals
+    return vals, degenerate
 
 
 # Requests for one point, answered with (value, point): reflect the worst vertex
-# through the centroid of the others, expand twice as far (a search asks right
-# after the reflection, so it is rebuilt from the same simplex), contract halfway.
+# through the centroid of the others, expand twice as far, contract halfway. A
+# search asks for an expansion or a contraction right after the reflection, on
+# the same simplex, so both are mapped with the reflection and answered at once.
 _XR, _XE, _XC = "reflect", "expand", "contract"
 _BLOCK = {_XR: 0, _XE: 1, _XC: 2}       # the row block of _lockstep holding each kind
 
@@ -286,9 +349,14 @@ def _lockstep(jobs, tol: float) -> list:
     J, 14) vertex array and (15, J) value array (to minimize), edited in place.
     It yields a slice of its vertices, answered with their values, or ``_XR``/
     ``_XE``/``_XC``, answered with (value, point), or with None at ``_XR`` when
-    its value spread is below tol. Each step sorts every simplex, builds each
-    kind of point that some search asks for in its own block of rows, gathers
-    the asked rows, maps them in one call and runs each objective once.
+    its value spread is below tol. Each step sorts every simplex, builds the
+    three kinds of point in their own blocks of rows, gathers the asked rows
+    and, for each reflection, its expansion and contraction, maps them in one
+    call and runs each objective once on the whole record. An ``_XE`` or
+    ``_XC`` right after a reflection is answered in the same step from those
+    rows, so a search must not edit its simplex in between. A row mapped ahead
+    counts, or raises ``ObjectiveError``, only when its search asks for it; an
+    objective may thus score rows no search consumes.
     """
     J, n = len(jobs), N_PARAMS
     rows = np.zeros(((n + 4) * J, n))       # 3 blocks of points, then vertex k of job j at (3 + k) J + j
@@ -301,36 +369,40 @@ def _lockstep(jobs, tol: float) -> list:
         P[:] = vertices.take(V.argsort(axis=0, kind="stable") * J + cols, axis=0)
         V.sort(axis=0, kind="stable")
         best, worst = V[::n].tolist()
-        take, plan, groups, asked, group = [], [], [], set(), [None]
+        take, ahead, plan, groups, group = [], [], [], [], [None]
         for j, ev, gen, req in live:
-            lo = len(take)
+            lo, a = len(take), len(ahead)
             if req.__class__ is slice:
                 take += range(J * (req.start + 3) + j, J * (req.stop + 3) + j, J)
             elif req is _XR and worst[j] - best[j] < tol:
-                plan.append((j, ev, gen, req, None))
+                plan.append((j, ev, gen, req, None, None))
                 continue
             else:
                 take.append(J * _BLOCK[req] + j)
-                asked.add(req)
+                if req is _XR:                  # its expansion and contraction, mapped ahead
+                    ahead += (J + j, 2 * J + j)
             if group[0] is not ev:
-                groups.append(group := [ev, lo, 0])
-            group[2] = len(take)
-            plan.append((j, ev, gen, req, lo))
-        if asked:                           # the reflections, also wanted by an expansion
+                groups.append(group := [ev, lo, 0, a, 0])
+            group[2], group[4] = len(take), len(ahead)
+            plan.append((j, ev, gen, req, lo, a if req is _XR else None))
+        if take:
             centroid = np.add.reduce(P[:n], axis=0) / n
             np.add(centroid, centroid - P[n], out=new[0])
-            for req, k, z in ((_XE, 2.0, new[0]), (_XC, 0.5, P[n])):
-                if req in asked:
-                    np.add(centroid, k * (z - centroid), out=new[_BLOCK[req]])
-        if take:
-            values = -_score(x := rows.take(take, axis=0), groups)
+            np.add(centroid, 2.0 * (new[0] - centroid), out=new[1])
+            np.add(centroid, 0.5 * (P[n] - centroid), out=new[2])
+            vals, degenerate = _score(x := rows.take(take + ahead, axis=0), groups)
+            values, m = -vals, len(take)
             floats = values.tolist()
         live = []
-        for j, ev, gen, req, lo in plan:
+        for j, ev, gen, req, lo, a in plan:
             answer = (None if lo is None else values[lo:lo + req.stop - req.start]
                       if req.__class__ is slice else (floats[lo], x[lo]))
             try:
-                live.append((j, ev, gen, gen.send(answer)))
+                req = gen.send(answer)
+                while a is not None and (req is _XE or req is _XC):
+                    ev.charge(-floats[k := m + a + _BLOCK[req] - 1], degenerate[k], x[k])
+                    req = gen.send((floats[k], x[k]))
+                live.append((j, ev, gen, req))
             except StopIteration as done:
                 results[j] = done.value
     return results
@@ -410,12 +482,21 @@ def chsh_objective(mom: QuantumMoments):
     return chsh_combination(mom.pearson)
 
 
+def _real(value) -> bool:
+    return type(value) is not bool and isinstance(value, numbers.Real)
+
+
 def eta_pinned_objective(target: float, weight: float):
     """CHSH with a quadratic penalty pinning Alice's commutator ratio.
 
     The pin is symmetric in sign: scenarios with eta_A = -target are as good
-    as +target (the CHSH ceiling depends on eta^2 only).
+    as +target (the CHSH ceiling depends on eta^2 only). The target is a real
+    in [0, 1], as in ``trace_eta_curve``, and the weight a finite real >= 0.
     """
+    if not (_real(target) and 0.0 <= target <= 1.0):
+        raise MalformedInputError(f"eta target must be a real in [0, 1], got {target!r}")
+    if not (_real(weight) and 0.0 <= weight < math.inf):
+        raise MalformedInputError(f"pin weight must be a finite real >= 0, got {weight!r}")
 
     def objective(mom: QuantumMoments):
         return chsh_combination(mom.pearson) - weight * (np.abs(mom.eta_a) - target) ** 2

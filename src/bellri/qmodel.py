@@ -254,7 +254,13 @@ def _normalized_pair(var, r_q: complex, label: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuantumMoments:
-    """Bipartite moment data; the optimizer's batched map adds a leading row axis to each field."""
+    """Bipartite moment data of one scenario.
+
+    An optimizer objective gets the optimizer map's own record instead: the
+    same field names, each batched with a leading row axis. It may be handed
+    rows that no search consumes, which never count, so it must be pure and
+    elementwise.
+    """
 
     mean_a: np.ndarray
     mean_b: np.ndarray

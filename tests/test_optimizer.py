@@ -322,6 +322,106 @@ class TestLockstep:
         assert fields["degenerate_hits"] == 0
 
 
+def _record(monkeypatch) -> tuple[list, list]:
+    """Record every map call's rows, and every request of every search with its answer."""
+    maps, asked = [], []
+    real_map, real_descend = optimizer._two_qubit_moments, optimizer._descend
+
+    def mapped(x):
+        maps.append(x)
+        return real_map(x)
+
+    def descend(*args):
+        gen, answer = real_descend(*args), None
+        while True:
+            try:
+                req = gen.send(answer)
+            except StopIteration as done:
+                return done.value
+            answer = yield req
+            asked.append((req, answer))
+
+    monkeypatch.setattr(optimizer, "_two_qubit_moments", mapped)
+    monkeypatch.setattr(optimizer, "_descend", descend)
+    return maps, asked
+
+
+class TestMappedAhead:
+    """A reflection's expansion and contraction, mapped with it: charged only when asked for."""
+
+    CONFIG = OptConfig(restarts=1, max_evals=400, seed=5)
+
+    def test_expansion_and_contraction_take_no_step(self, monkeypatch):
+        # one restart: each map call serves one slice or one reflection
+        maps, asked = _record(monkeypatch)
+        res = maximize(chsh_objective, self.CONFIG)
+        kinds = [req if req.__class__ is not slice else slice for req, _ in asked]
+        reflections = sum(req is _XR and answer is not None for req, answer in asked)
+        assert kinds.count(_XE) > 0 and kinds.count(_XC) > 0
+        assert len(maps) == kinds.count(slice) + reflections
+        rows = sum(req.stop - req.start for req, _ in asked if req.__class__ is slice)
+        assert res.evaluations == rows + reflections + kinds.count(_XE) + kinds.count(_XC)
+
+    def test_rows_no_search_asks_for_never_count(self, monkeypatch):
+        maps, asked = _record(monkeypatch)
+        res = maximize(chsh_objective, self.CONFIG)
+        # the rows each map call serves: all of a slice's, a reflection and what follows it
+        served = []
+        for req, answer in asked:
+            if req.__class__ is slice:
+                served.append(None)
+            elif req is _XR and answer is not None:
+                served.append({answer[1].tobytes()})
+            elif req is _XE or req is _XC:
+                served[-1].add(answer[1].tobytes())
+        assert len(served) == len(maps)
+        calls, poisoned = iter(served), []
+
+        def objective(mom):
+            keep = next(calls)
+            unasked = [keep is not None and row.tobytes() not in keep for row in maps[-1]]
+            poisoned.append(sum(unasked))
+            return np.where(unasked, np.nan, chsh_objective(mom))
+
+        maps.clear()
+        again = maximize(objective, self.CONFIG)
+        assert sum(poisoned) > 0
+        assert _run_bits(again) == _run_bits(res)
+
+    @pytest.mark.parametrize("kind", [_XE, _XC])
+    def test_nan_row_asked_for_names_its_parameters(self, monkeypatch, kind):
+        _, asked = _record(monkeypatch)
+        maximize(chsh_objective, self.CONFIG)
+        point = next(answer[1] for req, answer in asked if req is kind).copy()
+        mark = _two_qubit_moments(point[None])[0].pearson.reshape(4)
+
+        def objective(mom):
+            hit = (mom.pearson.reshape(-1, 4) == mark).all(axis=1)
+            return np.where(hit, np.nan, chsh_objective(mom))
+
+        with pytest.raises(ObjectiveError, match=re.escape(str(point.tolist()))):
+            maximize(objective, self.CONFIG)
+
+    @pytest.mark.parametrize("objective, shape", [(lambda m: m.pearson[..., 0, 0][:1], "(1,)"),
+                                                  (lambda m: m.pearson[..., 0], "(15, 2)")],
+                             ids=["one-value", "two-per-row"])
+    def test_wrong_shaped_result_rejected(self, objective, shape):
+        # a scalar or exactly one value per row; nothing is broadcast or cut
+        with pytest.raises(ObjectiveError, match=re.escape(shape)):
+            maximize(objective, OptConfig(1, 16, 0))
+
+    @pytest.mark.parametrize("target, weight", [
+        ("a", 1e3), (None, 1e3), (True, 1e3), (1.5, 1e3), (-0.1, 1e3), (math.nan, 1e3),
+        (0.5, -1e3), (0.5, math.nan), (0.5, math.inf), (0.5, "1"), (0.5, False)])
+    def test_pin_arguments_checked_at_construction(self, target, weight):
+        with pytest.raises(MalformedInputError):
+            eta_pinned_objective(target, weight)
+
+    def test_pin_arguments_at_the_bounds_accepted(self):
+        for target, weight in ((0, 0), (1.0, 1e7), (np.float64(0.5), np.int64(10))):
+            eta_pinned_objective(target, weight)
+
+
 class TestEtaCurve:
     def test_pinned_half_eta(self):
         res = maximize(eta_pinned_objective(0.5, 1e3), OptConfig(restarts=24, max_evals=2000, seed=0))
