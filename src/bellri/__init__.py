@@ -11,7 +11,7 @@ from importlib import import_module
 
 _HOME = {name: module for module, names in {     # the submodule that defines each exported name
     "correlators": "CorrelatorTable ProbabilityTable TripartiteCorrelatorTable check_no_signaling chsh "
-                   "chsh_max chsh_raw from_probability_table pr_box_table",
+                   "chsh_max from_probability_table pr_box_table",
     "errors": "BellRIError DegenerateDataError DegenerateScenarioError MalformedInputError PreconditionError",
     "lhv": "DeterministicStrategy LhvEnsemble correlators_of enumerate_vertices is_local product_cov_matrix "
            "statistics_of",
@@ -21,9 +21,9 @@ _HOME = {name: module for module, names in {     # the submodule that defines ea
     "optimizer": "OptConfig OptResult ScenarioParams chsh_objective eta_pinned_objective maximize "
                  "trace_eta_curve",
     "qmodel": "Observable QuantumMoments QuantumScenario chsh_r_tradeoff_check eta_saturating_scenario "
-              "higher_moment_uncertainty_check moments outcome_distribution quantum_cov_matrix "
-              "quantum_tlm_check schrodinger_robertson_check singlet_scenario to_correlator_table "
-              "tripartite_moments truncated_oscillator_pair tsirelson_eta_bound tsirelson_scenario",
+              "higher_moment_uncertainty_check moments quantum_cov_matrix quantum_tlm_check "
+              "schrodinger_robertson_check to_correlator_table tripartite_moments truncated_oscillator_pair "
+              "tsirelson_eta_bound tsirelson_scenario",
     "ri": "RInterval Verdict classify epsilon_gap g_theta pr_box_demo r_interval_bipartite "
           "ri_feasible_bipartite tlm_check tripartite_r_intervals",
 }.items() for name in names.split()}

@@ -33,7 +33,6 @@ __all__ = [
     "TripartiteCorrelatorTable",
     "from_probability_table",
     "chsh",
-    "chsh_raw",
     "chsh_max",
     "check_no_signaling",
     "pr_box_table",
@@ -163,19 +162,11 @@ class CorrelatorTable:
         self.__dict__.update(_floats=(ma, mb, va, vb, cov, pe, [d[:2], d[2:]]),
                              _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok])
 
-    @property
-    def all_defined(self) -> bool:
-        return not self._undefined
-
     def _pearson_rows(self) -> list[list[float]]:
         """The Pearson rows as floats; raises DegenerateDataError where an entry is undefined."""
         if self._undefined:
             raise DegenerateDataError(f"Pearson entries undefined at (i, j) in {self._undefined}")
         return self._floats[5]
-
-    def require_defined(self) -> np.ndarray:
-        self._pearson_rows()
-        return self.pearson
 
     @classmethod
     def from_pearson(cls, pearson, variances=None, means=None) -> "CorrelatorTable":
@@ -293,21 +284,18 @@ def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
 
 
 def chsh_combination(x):
-    """The CHSH combination x00 + x10 + x01 - x11 of 2x2 blocks indexed [..., i, j]."""
-    return x[..., 0, 0] + x[..., 1, 0] + x[..., 0, 1] - x[..., 1, 1]
+    """The CHSH combination x00 + x10 + x01 - x11 of a 2x2 block indexed x[i][j].
+
+    The block is unpacked by rows, so it may be nested floats, a (2, 2) array, or
+    any pair of row pairs whose entries are arrays with the batch on trailing axes.
+    """
+    (x00, x01), (x10, x11) = x
+    return x00 + x10 + x01 - x11
 
 
 def chsh(ct: CorrelatorTable) -> float:
     """Pearson CHSH combination rho00 + rho10 + rho01 - rho11."""
-    (p00, p01), (p10, p11) = ct._pearson_rows()
-    return p00 + p10 + p01 - p11
-
-
-def chsh_raw(ct: CorrelatorTable) -> float:
-    """CHSH of the raw two-point correlators <A_i B_j> = cov + mean*mean."""
-    ma, mb, _, _, cov = ct._floats[:5]
-    (e00, e01), (e10, e11) = ([c + a * b for c, b in zip(row, mb)] for row, a in zip(cov, ma))
-    return e00 + e10 + e01 - e11
+    return chsh_combination(ct._pearson_rows())
 
 
 def chsh_max(entries) -> float:

@@ -33,14 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .correlators import TripartiteCorrelatorTable, chsh_combination
 from .errors import MalformedInputError, PreconditionError
 from .linalg import is_psd
-from .qmodel import QuantumMoments
 from .ri import _side
+
+if TYPE_CHECKING:
+    from .qmodel import QuantumMoments
 
 __all__ = [
     "ZetaArgs",
@@ -171,7 +174,7 @@ class NPartyCorrelators:
 
     def chsh_values(self) -> np.ndarray:
         """B_s = rho^s_{0,i_s} + rho^s_{1,i_s} + rho^s_{0,j_s} - rho^s_{1,j_s}."""
-        return chsh_combination(np.stack([self.rho_first, self.rho_second], axis=-1))
+        return chsh_combination(zip(self.rho_first.T, self.rho_second.T))
 
 
 def nparty_bound_check(npc: NPartyCorrelators, r_prime: float, tol: float = 1e-9) -> dict:

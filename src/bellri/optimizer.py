@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import _VAR_FLOOR, chsh_combination
+from .correlators import _VAR_FLOOR
 from .errors import BellRIError, MalformedInputError
 from .qmodel import QuantumMoments, QuantumScenario, bloch_observable
 
@@ -94,9 +94,6 @@ class ScenarioParams:
         if x.shape != (N_PARAMS,):
             raise MalformedInputError(f"parameter vector must have length {N_PARAMS}")
         return cls(state_angles=x[:6], alice_bloch=x[6:10].reshape(2, 2), bob_bloch=x[10:].reshape(2, 2))
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.state_angles, self.alice_bloch.ravel(), self.bob_bloch.ravel()])
 
     def decode(self) -> QuantumScenario:
         t1, t2, t3, p1, p2, p3 = self.state_angles
@@ -478,8 +475,10 @@ def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
 
 
 def chsh_objective(mom: QuantumMoments):
-    """Pearson CHSH of a moments record, one value per row."""
-    return chsh_combination(mom.pearson)
+    """Pearson CHSH of a moments record, one value per row. The record is batch-first, (R, 2, 2):
+    indexing it is cheaper than moving the batch axis last for ``chsh_combination``."""
+    p = mom.pearson
+    return p[..., 0, 0] + p[..., 1, 0] + p[..., 0, 1] - p[..., 1, 1]
 
 
 def _real(value) -> bool:
@@ -499,7 +498,7 @@ def eta_pinned_objective(target: float, weight: float):
         raise MalformedInputError(f"pin weight must be a finite real >= 0, got {weight!r}")
 
     def objective(mom: QuantumMoments):
-        return chsh_combination(mom.pearson) - weight * (np.abs(mom.eta_a) - target) ** 2
+        return chsh_objective(mom) - weight * (np.abs(mom.eta_a) - target) ** 2
 
     return objective
 
@@ -514,9 +513,10 @@ def trace_eta_curve(eta_grid, config: OptConfig = OptConfig()) -> list[dict]:
     within 1e-3 (``PIN_TOL``) of the target. The targets run in lockstep,
     stage by stage, and each point equals the point traced alone.
     """
-    targets = [float(t) for t in eta_grid]
-    if not targets or not all(0.0 <= t <= 1.0 for t in targets):
-        raise MalformedInputError("eta targets must be a nonempty list of values in [0, 1]")
+    targets = list(eta_grid)
+    if not targets or not all(_real(t) and 0.0 <= t <= 1.0 for t in targets):     # NaN fails
+        raise MalformedInputError("eta targets must be a nonempty list of reals in [0, 1]")
+    targets = [float(t) for t in targets]
     evs = [_Evaluator(eta_pinned_objective(t, PIN_WEIGHTS[0])) for t in targets]
     xs = [max(runs, key=lambda run: run[1])[0] for runs in _restarts(evs, config)]
     # escalate the pin from the located basin: the base weight trades a

@@ -15,7 +15,8 @@ golden fixtures are bit-stable.
 
 Every moment takes one route: ``_reduced`` gives one party's reduced density
 matrix (means, variances, r_q) and ``_pair_block`` the block Re<A_i x B_j>
-of two parties (covariances, joint outcome probabilities). They are the only
+of two parties (covariances; the tests' projector route to joint outcome
+probabilities calls it too). They are the only
 code that looks at whether the state is pure. A pure state is contracted as
 a vector and never forms a density tensor, so a pure (32, 32, 32) scenario
 costs milliseconds and under 2 MB of working memory.
@@ -50,7 +51,6 @@ from .correlators import (
     _OBSERVABLE_MAX,
     _VAR_FLOOR,
     CorrelatorTable,
-    ProbabilityTable,
     TripartiteCorrelatorTable,
     chsh_combination,
 )
@@ -71,18 +71,14 @@ __all__ = [
     "tsirelson_eta_bound",
     "chsh_r_tradeoff_check",
     "higher_moment_uncertainty_check",
-    "outcome_distribution",
     "bloch_observable",
-    "planar_observable",
     "pauli",
-    "singlet_scenario",
     "eta_saturating_scenario",
     "tsirelson_scenario",
     "truncated_oscillator_pair",
 ]
 
 MAX_OBS_DIM = 32
-_MERGE_TOL = 1e-9           # eigenvalues this close are one outcome of an observable
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -543,54 +539,6 @@ def higher_moment_uncertainty_check(
 
 
 # ---------------------------------------------------------------------------
-# Outcome distributions (projector route)
-# ---------------------------------------------------------------------------
-
-
-def _spectral_outcomes(o: Observable):
-    w, v = np.linalg.eigh(o.matrix)
-    outcomes: list[float] = []
-    projectors: list[np.ndarray] = []
-    k = 0
-    while k < len(w):
-        grp = [k]
-        while grp[-1] + 1 < len(w) and abs(w[grp[-1] + 1] - w[k]) <= _MERGE_TOL:
-            grp.append(grp[-1] + 1)
-        vecs = v[:, grp]
-        outcomes.append(float(np.mean(w[grp])))
-        projectors.append(vecs @ vecs.conj().T)
-        k = grp[-1] + 1
-    return outcomes, projectors
-
-
-def outcome_distribution(sc: QuantumScenario) -> ProbabilityTable:
-    """Joint outcome table p(a, b | i, j) via spectral projectors.
-
-    Requires a bipartite scenario whose two observables per party share the
-    same outcome alphabet within 1e-9 (true for any pair of +-1 observables).
-    """
-    if sc.n_parties != 2:
-        raise MalformedInputError("outcome_distribution expects a bipartite scenario")
-    spect_a = [_spectral_outcomes(o) for o in sc.alice_obs]
-    spect_b = [_spectral_outcomes(o) for o in sc.bob_obs]
-    for spect, label in ((spect_a, "alice"), (spect_b, "bob")):
-        o0, o1 = spect[0][0], spect[1][0]
-        if len(o0) != len(o1) or max(abs(x - y) for x, y in zip(o0, o1)) > 1e-9:
-            raise MalformedInputError(
-                f"{label} observables do not share an outcome alphabet; "
-                "a shared joint table is not defined"
-            )
-    outcomes_a = spect_a[0][0]
-    outcomes_b = spect_b[0][0]
-    p = np.empty((2, 2, len(outcomes_a), len(outcomes_b)))
-    for i in range(2):
-        for j in range(2):
-            p[i, j] = np.maximum(_pair_block(sc, 0, 1, spect_a[i][1], spect_b[j][1]), 0.0)
-            p[i, j] /= p[i, j].sum()
-    return ProbabilityTable(outcomes_a=np.array(outcomes_a), outcomes_b=np.array(outcomes_b), p=p)
-
-
-# ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
 
@@ -600,24 +548,6 @@ def bloch_observable(theta: float, phi: float) -> Observable:
     s = math.sin(theta)
     nx, ny, nz = s * math.cos(phi), s * math.sin(phi), math.cos(theta)
     return Observable(np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]))
-
-
-def planar_observable(angle: float) -> Observable:
-    """Observable cos(angle) sigma_z + sin(angle) sigma_x (real matrix)."""
-    return Observable(math.cos(angle) * pauli["z"] + math.sin(angle) * pauli["x"])
-
-
-def singlet_scenario(alice_angles, bob_angles) -> QuantumScenario:
-    """Spin singlet with planar observables: C(A_i, B_j) = -cos(a_i - b_j)."""
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0 / math.sqrt(2.0)
-    psi[2] = -1.0 / math.sqrt(2.0)
-    return QuantumScenario(
-        dims=(2, 2),
-        state=psi,
-        alice_obs=tuple(planar_observable(a) for a in alice_angles),
-        bob_obs=tuple(planar_observable(b) for b in bob_angles),
-    )
 
 
 def _xy_observable(angle: float) -> Observable:

@@ -15,6 +15,7 @@ from bellri.qmodel import (
     bloch_observable,
     chsh_r_tradeoff_check,
     moments,
+    pauli,
     quantum_cov_matrix,
     quantum_tlm_check,
     schrodinger_robertson_check,
@@ -70,6 +71,24 @@ def random_scenario(
         if mom_ok:
             return sc
     raise DegenerateScenarioError("could not sample a non-degenerate scenario")
+
+
+def planar_observable(angle: float) -> Observable:
+    """Observable cos(angle) sigma_z + sin(angle) sigma_x (real matrix)."""
+    return Observable(math.cos(angle) * pauli["z"] + math.sin(angle) * pauli["x"])
+
+
+def singlet_scenario(alice_angles, bob_angles) -> QuantumScenario:
+    """Spin singlet with planar observables: C(A_i, B_j) = -cos(a_i - b_j)."""
+    psi = np.zeros(4, dtype=complex)
+    psi[1] = 1.0 / math.sqrt(2.0)
+    psi[2] = -1.0 / math.sqrt(2.0)
+    return QuantumScenario(
+        dims=(2, 2),
+        state=psi,
+        alice_obs=tuple(planar_observable(a) for a in alice_angles),
+        bob_obs=tuple(planar_observable(b) for b in bob_angles),
+    )
 
 
 def random_unitary(rng, d):

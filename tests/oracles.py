@@ -4,17 +4,20 @@ Each builds the same quantity as a library function by a different route
 (an explicit matrix whose PSD is the condition, a brute-force PSD grid, a
 Cholesky-based Schur complement, a four-sign closed form, the arcsine form
 of the correlator bound, a brute-force covariance, quantum expectations of
-explicit Kronecker-product operators), so a test can check the two routes
-agree.
+explicit Kronecker-product operators, spectral projectors), so a test can
+check the two routes agree.
 """
 
 import numpy as np
 
-from bellri.correlators import CorrelatorTable, TripartiteCorrelatorTable
+from bellri.correlators import CorrelatorTable, ProbabilityTable, TripartiteCorrelatorTable
 from bellri.errors import MalformedInputError
 from bellri.lhv import _VERTEX_VALUES, LhvEnsemble
 from bellri.linalg import is_psd
 from bellri.multiparty import NPartyCorrelators
+from bellri.qmodel import Observable, QuantumScenario, _pair_block
+
+_MERGE_TOL = 1e-9           # eigenvalues this close are one outcome of an observable
 
 # the eight CHSH facet sign patterns, indexed like pearson[i][j]: one odd -1 entry
 # at (1, 1), (1, 0), (0, 1), (0, 0), then those four negated; ``chsh_max`` is
@@ -27,9 +30,22 @@ class DegeneratePivotError(ArithmeticError):
     """Leading block of a Schur partition is singular or indefinite."""
 
 
+def defined_pearson(ct: CorrelatorTable) -> np.ndarray:
+    """The table's Pearson array; raises DegenerateDataError where an entry is undefined."""
+    ct._pearson_rows()
+    return ct.pearson
+
+
+def chsh_raw(ct: CorrelatorTable) -> float:
+    """CHSH of the raw two-point correlators <A_i B_j> = cov + mean*mean."""
+    ma, mb, _, _, cov = ct._floats[:5]
+    (e00, e01), (e10, e11) = ([c + a * b for c, b in zip(row, mb)] for row, a in zip(cov, ma))
+    return e00 + e10 + e01 - e11
+
+
 def epsilon_four_signs(ct: CorrelatorTable) -> float:
     """The explicit four-sign form of ``epsilon_gap`` for disjoint intervals."""
-    pe = ct.require_defined()
+    pe = defined_pearson(ct)
     center_diff = float(pe[0, 0] * pe[1, 0] - pe[0, 1] * pe[1, 1])
     h0, h1 = (np.sqrt(np.clip(1.0 - pe[:, j] ** 2, 0.0, None).prod()) for j in (0, 1))
     return min(abs(center_diff + s0 * h0 + s1 * h1) for s0 in (1, -1) for s1 in (1, -1))
@@ -42,13 +58,13 @@ def tlm_arcsine_slack(ct: CorrelatorTable) -> float:
     Found. Phys. 18, 449; Masanes 2003, quant-ph/0309137): a zero-mean table
     is quantum-realizable iff this is >= 0.
     """
-    theta = np.arcsin(np.clip(ct.require_defined(), -1.0, 1.0))
+    theta = np.arcsin(np.clip(defined_pearson(ct), -1.0, 1.0))
     return float(np.pi - max(abs(float((s * theta).sum())) for s in _ODD_SIGNS))
 
 
 def ri_condition_matrix(ct: CorrelatorTable, j: int, r_prime: float) -> np.ndarray:
     """Normalized 3x3 matrix whose PSD is equivalent to r' in D_j."""
-    pe = ct.require_defined()
+    pe = defined_pearson(ct)
     r0, r1 = float(pe[0, j]), float(pe[1, j])
     return np.array([[1.0, r1, r0], [r1, 1.0, r_prime], [r0, r_prime, 1.0]])
 
@@ -59,7 +75,7 @@ def ri_pair_matrix(ct: CorrelatorTable, r_prime: float) -> np.ndarray:
     PSD iff r' is admissible for both remote settings simultaneously, the
     block form of the feasibility condition.
     """
-    pe = ct.require_defined()
+    pe = defined_pearson(ct)
     p = np.array([[1.0, r_prime], [r_prime, 1.0]])
     blocks = []
     for j in (0, 1):
@@ -342,3 +358,46 @@ def qubit_outcome_oracle(sc) -> np.ndarray:
          for y in sc.bob_obs]
         for x in sc.alice_obs
     ])
+
+
+def _spectral_outcomes(o: Observable):
+    w, v = np.linalg.eigh(o.matrix)
+    outcomes: list[float] = []
+    projectors: list[np.ndarray] = []
+    k = 0
+    while k < len(w):
+        grp = [k]
+        while grp[-1] + 1 < len(w) and abs(w[grp[-1] + 1] - w[k]) <= _MERGE_TOL:
+            grp.append(grp[-1] + 1)
+        vecs = v[:, grp]
+        outcomes.append(float(np.mean(w[grp])))
+        projectors.append(vecs @ vecs.conj().T)
+        k = grp[-1] + 1
+    return outcomes, projectors
+
+
+def outcome_distribution(sc: QuantumScenario) -> ProbabilityTable:
+    """Joint outcome table p(a, b | i, j) via spectral projectors.
+
+    Requires a bipartite scenario whose two observables per party share the
+    same outcome alphabet within 1e-9 (true for any pair of +-1 observables).
+    """
+    if sc.n_parties != 2:
+        raise MalformedInputError("outcome_distribution expects a bipartite scenario")
+    spect_a = [_spectral_outcomes(o) for o in sc.alice_obs]
+    spect_b = [_spectral_outcomes(o) for o in sc.bob_obs]
+    for spect, label in ((spect_a, "alice"), (spect_b, "bob")):
+        o0, o1 = spect[0][0], spect[1][0]
+        if len(o0) != len(o1) or max(abs(x - y) for x, y in zip(o0, o1)) > 1e-9:
+            raise MalformedInputError(
+                f"{label} observables do not share an outcome alphabet; "
+                "a shared joint table is not defined"
+            )
+    outcomes_a = spect_a[0][0]
+    outcomes_b = spect_b[0][0]
+    p = np.empty((2, 2, len(outcomes_a), len(outcomes_b)))
+    for i in range(2):
+        for j in range(2):
+            p[i, j] = np.maximum(_pair_block(sc, 0, 1, spect_a[i][1], spect_b[j][1]), 0.0)
+            p[i, j] /= p[i, j].sum()
+    return ProbabilityTable(outcomes_a=np.array(outcomes_a), outcomes_b=np.array(outcomes_b), p=p)

@@ -1,10 +1,12 @@
 """CLI tests: verbs, exit codes, JSON round trips."""
 
 import argparse
+import ast
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ from bellri.ri import tripartite_r_intervals
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "golden"
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +263,8 @@ def imported_modules(*argv) -> set[str]:
 
 
 class TestImportGuard:
-    """The Pearson-table verbs and ``pr-demo`` never load NumPy; the probability route loads no scenario code."""
+    """The Pearson-table verbs and ``pr-demo`` never load NumPy; the probability route and the
+    multiparty verbs load no scenario code."""
 
     @pytest.mark.parametrize("table", ["tangent", "moments"])
     @pytest.mark.parametrize("verb", ["classify", "epsilon", "tlm-check", "ri-intervals", "geometry"])
@@ -281,11 +285,18 @@ class TestImportGuard:
         assert "numpy" in loaded
         assert not loaded & {"bellri.qmodel", "bellri.optimizer", "bellri.multiparty"}
 
+    @pytest.mark.parametrize("verb", ["monogamy", "zeta-bound", "nparty"])
+    def test_multiparty_verbs_load_no_scenario_modules(self, verb):
+        # multiparty names QuantumMoments only in an annotation
+        loaded = imported_modules(verb, "--input", str(GOLDEN / f"{verb.replace('-', '_')}.json"))
+        assert "bellri.multiparty" in loaded
+        assert not loaded & {"bellri.qmodel", "bellri.optimizer"}
+
 
 # every name ``bellri`` exported when its __init__ imported each submodule eagerly, by submodule
 EXPORTS = {
     "correlators": ["CorrelatorTable", "ProbabilityTable", "TripartiteCorrelatorTable", "check_no_signaling",
-                    "chsh", "chsh_max", "chsh_raw", "from_probability_table", "pr_box_table"],
+                    "chsh", "chsh_max", "from_probability_table", "pr_box_table"],
     "errors": ["BellRIError", "DegenerateDataError", "DegenerateScenarioError", "MalformedInputError",
                "PreconditionError"],
     "lhv": ["DeterministicStrategy", "LhvEnsemble", "correlators_of", "enumerate_vertices", "is_local",
@@ -296,10 +307,9 @@ EXPORTS = {
     "optimizer": ["OptConfig", "OptResult", "ScenarioParams", "chsh_objective", "eta_pinned_objective",
                   "maximize", "trace_eta_curve"],
     "qmodel": ["Observable", "QuantumMoments", "QuantumScenario", "chsh_r_tradeoff_check",
-               "eta_saturating_scenario", "higher_moment_uncertainty_check", "moments", "outcome_distribution",
-               "quantum_cov_matrix", "quantum_tlm_check", "schrodinger_robertson_check", "singlet_scenario",
-               "to_correlator_table", "tripartite_moments", "truncated_oscillator_pair", "tsirelson_eta_bound",
-               "tsirelson_scenario"],
+               "eta_saturating_scenario", "higher_moment_uncertainty_check", "moments", "quantum_cov_matrix",
+               "quantum_tlm_check", "schrodinger_robertson_check", "to_correlator_table", "tripartite_moments",
+               "truncated_oscillator_pair", "tsirelson_eta_bound", "tsirelson_scenario"],
     "ri": ["RInterval", "Verdict", "classify", "epsilon_gap", "g_theta", "pr_box_demo", "r_interval_bipartite",
            "ri_feasible_bipartite", "tlm_check", "tripartite_r_intervals"],
 }
@@ -328,6 +338,26 @@ class TestLazyExports:
         code = "import sys, bellri; print(sorted(m for m in sys.modules if m.startswith(('bellri.', 'numpy'))))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+
+class TestPublicSurface:
+    """Every name a module lists in ``__all__`` has a reader outside the tests: library code, the
+    benchmark or the README. A name only the tests call belongs in ``tests/``."""
+
+    def test_every_public_name_has_a_reader(self):
+        src = REPO / "src" / "bellri"
+        read = set()            # names src/ reads: not a definition, an import or an __all__ string
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        text = (REPO / "README.md").read_text() + "".join(p.read_text() for p in (REPO / "bench").glob("*.py"))
+        unread = [f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+                  for name in getattr(importlib.import_module(f"bellri.{path.stem}"), "__all__", ())
+                  if path.stem != "__init__" and name not in read and not re.search(rf"\b{name}\b", text)]
+        assert unread == []
 
 
 class TestTol:

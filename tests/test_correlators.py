@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import float_bits
-from oracles import probability_fault_oracle, table_fault_oracle, tripartite_fault_oracle
+from oracles import chsh_raw, probability_fault_oracle, table_fault_oracle, tripartite_fault_oracle
 
 from bellri.correlators import (
     CorrelatorTable,
@@ -16,7 +16,6 @@ from bellri.correlators import (
     check_no_signaling,
     chsh,
     chsh_max,
-    chsh_raw,
     from_probability_table,
     pr_box_table,
 )

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import CHSH_SIGNS, product_cov_oracle
+from oracles import CHSH_SIGNS, chsh_raw, product_cov_oracle
 
-from bellri.correlators import chsh_max, chsh_raw
+from bellri.correlators import chsh_max
 from bellri.errors import MalformedInputError
 from bellri.lhv import (
     DeterministicStrategy,

@@ -18,7 +18,7 @@ from oracles import (
     tripartite_condition_matrix,
 )
 
-from bellri.correlators import TripartiteCorrelatorTable
+from bellri.correlators import TripartiteCorrelatorTable, chsh_combination
 from bellri.errors import MalformedInputError, PreconditionError
 from bellri.linalg import eigenvalues_sym, is_psd
 from bellri.multiparty import (
@@ -290,12 +290,18 @@ class TestNParty:
                 nparty_bound_check(npc, 0.0, tol=tol)
 
     def test_chsh_values_match_the_written_sum(self):
-        # the shared CHSH combination adds in the order B_s is written, bit for bit
+        # the shared CHSH combination adds in the order B_s is written, bit for bit,
+        # on the batched rows, on each experimenter's float rows and on its (2, 2) array
         rng = np.random.default_rng(12)
         for n in range(1, 40):
             npc = random_nparty(rng, n)
             f, s = npc.rho_first, npc.rho_second
-            np.testing.assert_array_equal(npc.chsh_values(), f[:, 0] + f[:, 1] + s[:, 0] - s[:, 1])
+            written = f[:, 0] + f[:, 1] + s[:, 0] - s[:, 1]
+            np.testing.assert_array_equal(npc.chsh_values(), written)
+            for row, (f0, f1), (s0, s1) in zip(written.tolist(), f.tolist(), s.tolist()):
+                block = [[f0, s0], [f1, s1]]
+                assert chsh_combination(block) == row
+                assert chsh_combination(np.array(block)) == row
 
     def test_no_experimenters_rejected(self):
         with pytest.raises(MalformedInputError):

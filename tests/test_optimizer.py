@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bellri import optimizer
+from bellri.correlators import chsh_combination
 from bellri.errors import DegenerateScenarioError, MalformedInputError
 from bellri.optimizer import (
     DEGENERATE_PENALTY,
@@ -39,12 +40,17 @@ FIELDS = ("mean_a", "mean_b", "var_a", "var_b", "cov", "pearson",
 BITS = Path(__file__).parent / "golden" / "optimizer_bits.json"
 
 
+def to_vector(p: ScenarioParams) -> np.ndarray:
+    """The 14 parameters of ``p`` in ``ScenarioParams.from_vector``'s order."""
+    return np.concatenate([p.state_angles, p.alice_bloch.ravel(), p.bob_bloch.ravel()])
+
+
 class TestParams:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-math.pi, math.pi, size=N_PARAMS)
         p = ScenarioParams.from_vector(x)
-        np.testing.assert_array_equal(p.to_vector(), x)
+        np.testing.assert_array_equal(to_vector(p), x)
 
     def test_decode_is_total_and_valid(self):
         rng = np.random.default_rng(1)
@@ -76,6 +82,16 @@ class TestParams:
 
 class TestClosedFormMoments:
     """The optimizer's closed-form record against the generic moments route."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_chsh_objective_is_each_rows_combination(self, r):
+        # the batch-first record is indexed, not unpacked by rows: at R = 2 an
+        # unpacking spelling would combine entries of different rows, silently
+        mom, _ = _two_qubit_moments(np.random.default_rng(r).uniform(-math.pi, math.pi, (r, N_PARAMS)))
+        values = chsh_objective(mom)
+        assert values.shape == (r,)
+        for value, block in zip(values.tolist(), mom.pearson):
+            assert value == chsh_combination(block)
 
     @pytest.mark.parametrize("half_width", [math.pi, 50.0])
     def test_matches_generic_moments(self, half_width):
@@ -166,7 +182,7 @@ class TestMaximize:
         assert r1.best_value == r2.best_value
         assert r1.trace == r2.trace
         assert r1.evaluations == r2.evaluations
-        np.testing.assert_array_equal(r1.best_params.to_vector(), r2.best_params.to_vector())
+        np.testing.assert_array_equal(to_vector(r1.best_params), to_vector(r2.best_params))
 
     def test_best_value_reproduces_at_best_params(self):
         res = maximize(chsh_objective, OptConfig(restarts=4, max_evals=800, seed=3))
@@ -205,8 +221,8 @@ class TestMaximize:
         assert res.trajectory_max == max(a.trajectory_max for a in alone)
         assert res.degenerate_hits == sum(a.degenerate_hits for a in alone)
         first = max(range(cfg.restarts), key=lambda r: alone[r].best_value)
-        np.testing.assert_array_equal(res.best_params.to_vector(),
-                                      alone[first].best_params.to_vector())
+        np.testing.assert_array_equal(to_vector(res.best_params),
+                                      to_vector(alone[first].best_params))
 
 
 class TestLockstep:
@@ -467,6 +483,13 @@ class TestEtaCurve:
         with pytest.raises(MalformedInputError):
             trace_eta_curve([0.5, 1.5], OptConfig(restarts=1, max_evals=64, seed=0))
 
+    @pytest.mark.parametrize("target", ["a", None, True, "0.5"])
+    def test_non_real_target_rejected(self, target):
+        # a target is checked as a real before it is converted: no bare ValueError or
+        # TypeError, and neither a bool nor a numeric string passes for a number
+        with pytest.raises(MalformedInputError, match="eta targets"):
+            trace_eta_curve([target], OptConfig(restarts=1, max_evals=64, seed=0))
+
 
 def _array_bits(a: np.ndarray) -> str:
     return f"{a.dtype}{list(a.shape)}:{a.tobytes().hex()}"
@@ -474,7 +497,7 @@ def _array_bits(a: np.ndarray) -> str:
 
 def _run_bits(res) -> dict:
     return {"best_value": res.best_value.hex(),
-            "best_params": res.best_params.to_vector().tobytes().hex(),
+            "best_params": to_vector(res.best_params).tobytes().hex(),
             "evaluations": res.evaluations, "trace": [v.hex() for v in res.trace],
             "trajectory_max": res.trajectory_max.hex(), "degenerate_hits": res.degenerate_hits}
 

@@ -19,11 +19,13 @@ from conftest import (
     random_observable,
     random_scenario,
     random_state,
+    singlet_scenario,
 )
 from oracles import (
     higher_moment_oracle,
     kron_expectation,
     moments_oracle,
+    outcome_distribution,
     qubit_outcome_oracle,
     tensor_expectation,
 )
@@ -41,12 +43,10 @@ from bellri.qmodel import (
     eta_saturating_scenario,
     higher_moment_uncertainty_check,
     moments,
-    outcome_distribution,
     pauli,
     quantum_cov_matrix,
     quantum_tlm_check,
     schrodinger_robertson_check,
-    singlet_scenario,
     to_correlator_table,
     tripartite_moments,
     truncated_oscillator_pair,
