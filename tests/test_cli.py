@@ -553,6 +553,14 @@ class TestMalformedTables:
             ({"ensemble": {"weights": [0.5, {"w": 1}]}}, "weights must be an array of numbers in the float range"),
             ({"ensemble": {"weights": [10**400] + [0.0] * 15}}, "weights must be an array of numbers in the float range"),
             ({"ensemble": {"weights": [[0.0625] * 2] * 8}}, "weights must have length 16, got shape (8, 2)"),
+            ({"ensemble": {"weights": 0.5}}, "weights must have length 16, got shape ()"),
+            ({"ensemble": {"weights": [None] + [0.0625] * 15}}, "weights must be finite and nonnegative"),
+            ({"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[0.25] * 4] * 2] * 2}},
+             "p must have shape (2, 2, 2, 2), got (2, 2, 4)"),
+            ({"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[[None, 0.5], [0.5, 0]]] * 2] * 2}},
+             "probabilities must be finite and nonnegative"),
+            ({"probabilities": {"outcomes_a": [[-1, 1]], "outcomes_b": [-1, 1], "p": UNIFORM_P}},
+             "outcome lists must be non-empty 1-d arrays"),
         ],
     )
     def test_malformed_lists_name_the_field(self, tmp_path, capsys, payload, message):

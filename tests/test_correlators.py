@@ -136,6 +136,12 @@ class TestFromPearson:
             (lambda: ProbabilityTable([-1, [1]], [-1, 1], np.full((2, 2, 2, 2), 0.25)),
              "outcomes_a must be a rectangular array of numbers"),
             (lambda: ProbabilityTable([-1, 1], [-1, 1], [[[[0.5, "x"]]]]), "p must be a rectangular array of numbers"),
+            (lambda: ProbabilityTable([-1, 1], [-1, 1], np.full((2, 2, 4), 0.25)),
+             "p must have shape (2, 2, 2, 2), got (2, 2, 4)"),
+            (lambda: ProbabilityTable([-1, 1], [-1, 0, 1], [[[[1.0]]]]), "p must have shape (2, 2, 2, 3), got (1, 1, 1, 1)"),
+            (lambda: ProbabilityTable([-1, 1], [-1, 1], [[], []]), "p must have shape (2, 2, 2, 2), got (2, 0)"),
+            (lambda: ProbabilityTable(1.0, [-1, 1], np.full((2, 2, 1, 2), 0.5)), "outcome lists must be non-empty 1-d arrays"),
+            (lambda: ProbabilityTable([], [-1, 1], np.full((2, 2, 0, 2), 0.5)), "outcome lists must be non-empty 1-d arrays"),
         ],
     )
     def test_ragged_or_non_numeric_lists_name_the_field(self, build, message):

@@ -56,6 +56,13 @@ class TestEnsembles:
             LhvEnsemble(weights)
         assert str(info.value) == "weights must be an array of numbers in the float range"
 
+    @pytest.mark.parametrize("weights, shape", [(0.5, "()"), (np.full((8, 2), 1 / 16), "(8, 2)"),
+                                                (np.full(15, 1 / 15), "(15,)"), ([], "(0,)")])
+    def test_wrong_shape_names_numpy_shape(self, weights, shape):
+        with pytest.raises(MalformedInputError) as info:
+            LhvEnsemble(weights)
+        assert str(info.value) == f"weights must have length 16, got shape {shape}"
+
     def test_weight_sum_message_prints_a_plain_number(self):
         w = np.zeros(16)
         w[:3] = 0.5
