@@ -10,22 +10,20 @@ Signaling in the variances (a party's spread depending on the remote setting)
 is recorded as a flag rather than treated as an error: feasibility of a common
 uncertainty parameter is assessed independently of the no-signaling condition.
 
-The correlator tables keep the Python floats they checked, which is all the verdicts read, so
-a Pearson table never imports NumPy; each array field is built on its first read. Probability
-tables, their moments and the no-signaling report keep NumPy's bits and import it on first use.
+Every table keeps the Python floats it checked, which is all the verdicts read, so no table verb
+imports NumPy; each array field is built, read-only, on its first read. Every sum of a probability
+table (its moments, marginals and normalization totals) is ``math.fsum`` of its float terms:
+correctly rounded, so its bits depend neither on the order of the terms nor on the machine.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import chain
+from operator import mul
 
 from .errors import DegenerateDataError, MalformedInputError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ProbabilityTable",
@@ -44,6 +42,7 @@ _OUTCOME_MAX = 1e77           # outcome magnitudes whose moments' pairwise produ
 _OBSERVABLE_MAX = 1e75        # observable entries: at dim 32, var0 var1 and |r_q|^2 stay finite
 _SIGNALING_TOL = 1e-9         # marginal variances further apart flag signaling in variance
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_P_MIN = -1e-15               # probabilities and ensemble weights down to this are rounding, not negative
 
 
 def _vector(obj, entry=float) -> list | None:
@@ -60,12 +59,50 @@ def _vector(obj, entry=float) -> list | None:
     return None if a is None or b is None else [a, b]
 
 
-class _Array:
-    """An array field of a table that keeps the Python floats or bools it checked, ``_floats[k]``:
-    built as a read-only float64 or bool array on its first read, then kept on the table."""
+def _nested(obj) -> tuple[tuple[int, ...], list[float]]:
+    """The shape ``np.array(obj, dtype=np.float64)`` would have, and its entries as floats in row-major order.
 
-    def __init__(self, name: str, k: int) -> None:
-        self.name, self.k = name, k
+    ``obj`` is a number or a nested list, tuple or array. As with NumPy, a ragged
+    nesting raises ValueError, an entry ``float`` cannot read raises TypeError,
+    ValueError or OverflowError, and None reads as NaN.
+    """
+    shape, level = [], [obj]
+    while True:
+        kinds = set(map(type, level))
+        if not kinds <= _PLAIN and any(hasattr(x, "tolist") for x in level):    # arrays and NumPy scalars
+            level = [x.tolist() if hasattr(x, "tolist") else x for x in level]
+            kinds = set(map(type, level))
+        if level and kinds <= _SEQUENCES:
+            lengths = set(map(len, level))
+            if len(lengths) != 1:
+                raise ValueError("the nested lists are ragged")
+            shape += lengths
+            level = list(chain.from_iterable(level))
+        elif kinds & _SEQUENCES:
+            raise ValueError("the nested lists are ragged")
+        else:
+            break
+    try:
+        return tuple(shape), list(map(float, level))
+    except TypeError:
+        if None not in level:
+            raise
+        return tuple(shape), [math.nan if x is None else float(x) for x in level]
+
+
+_SEQUENCES = {list, tuple}
+_PLAIN = {list, tuple, float, int}
+
+
+class _Array:
+    """An array field of a record that keeps the Python floats or bools it checked, ``_floats[k]``:
+    built as a read-only float64 or bool array on its first read, then kept on the record."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
     def __get__(self, table, owner=None):
         if table is None:
@@ -77,46 +114,61 @@ class _Array:
         return a
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Joint outcome distributions p[i][j] over a shared outcome alphabet per party."""
+class _Frozen:
+    """A record whose constructor fills ``__dict__`` once; its ``_FIELDS`` make its repr."""
 
-    outcomes_a: np.ndarray            # (na,)
-    outcomes_b: np.ndarray            # (nb,)
-    p: np.ndarray                     # (2, 2, na, nb), each p[i, j] sums to 1
+    _FIELDS: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        import numpy as np
-        arrays = []
-        for name in ("outcomes_a", "outcomes_b", "p"):      # the one conversion of each field
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._FIELDS)})"
+
+
+class ProbabilityTable(_Frozen):
+    """Joint outcome distributions p[i][j] over a shared outcome alphabet per party.
+
+    Construction converts each field to Python floats once and checks each rule
+    once; the table keeps those floats, and the moments read only them. Each
+    array field is built from them, read-only, on its first read.
+    """
+
+    outcomes_a, outcomes_b, p = map(_Array, range(3))     # (na,), (nb,), (2, 2, na, nb): each p[i, j] sums to 1
+    _FIELDS = ("outcomes_a", "outcomes_b", "p")
+
+    def __init__(self, outcomes_a, outcomes_b, p) -> None:
+        given = []
+        for name, obj in zip(self._FIELDS, (outcomes_a, outcomes_b, p)):     # the one conversion of each field
             try:
-                arrays.append(np.array(getattr(self, name), dtype=np.float64))
+                given.append(_nested(obj))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedInputError(f"{name} must be a rectangular array of numbers") from exc
-        oa, ob, pr = arrays
-        if oa.ndim != 1 or ob.ndim != 1 or oa.size == 0 or ob.size == 0:
+        (shape_a, oa), (shape_b, ob), (shape, flat) = given
+        if len(shape_a) != 1 or len(shape_b) != 1 or not oa or not ob:
             raise MalformedInputError("outcome lists must be non-empty 1-d arrays")
-        if not all(abs(x) <= _OUTCOME_MAX for x in oa.tolist() + ob.tolist()):    # NaN fails
+        if not all(abs(x) <= _OUTCOME_MAX for x in oa + ob):    # NaN fails
             raise MalformedInputError("outcome values must be finite and at most 1e77 in magnitude")
-        if pr.shape != (2, 2, oa.size, ob.size):
+        na, nb = len(oa), len(ob)
+        if shape != (2, 2, na, nb):
+            raise MalformedInputError(f"p must have shape (2, 2, {na}, {nb}), got {shape}")
+        if not (all(map(_P_MIN.__le__, flat)) and max(flat) < math.inf):     # NaN fails the first
+            raise MalformedInputError("probabilities must be finite and nonnegative")
+        n = na * nb
+        contexts = [flat[k:k + n] for k in range(0, 4 * n, n)]      # p[i][j] flat, (i, j) row-major
+        sums = list(map(math.fsum, contexts))
+        if any(abs(x - 1.0) > 1e-12 for x in sums):
             raise MalformedInputError(
-                f"p must have shape (2, 2, {oa.size}, {ob.size}), got {pr.shape}"
+                f"each setting pair must be normalized to 1 within 1e-12, sums={[sums[:2], sums[2:]]}"
             )
-        for x in pr.ravel().tolist():       # a loop: a generator resumes once per entry
-            if not -1e-15 <= x < math.inf:      # NaN fails
-                raise MalformedInputError("probabilities must be finite and nonnegative")
-        sums = pr.sum(axis=(2, 3))
-        if any(abs(x - 1.0) > 1e-12 for x in sums.ravel().tolist()):
-            raise MalformedInputError(
-                f"each setting pair must be normalized to 1 within 1e-12, sums={sums.tolist()}"
-            )
-        for a in arrays:
-            a.setflags(write=False)
-        self.__dict__.update(outcomes_a=oa, outcomes_b=ob, p=pr)     # frozen: bypass __setattr__
+        rows = [flat[k:k + nb] for k in range(0, 4 * n, nb)]       # p[i][j][a], one list per (i, j, a)
+        self.__dict__.update(_floats=(oa, ob, [[rows[k:k + na] for k in range(m, m + 2 * na, na)]
+                                               for m in (0, 2 * na)]), _contexts=contexts)
 
 
-@dataclass(frozen=True)
-class CorrelatorTable:
+class CorrelatorTable(_Frozen):
     """Means, variances, covariances and Pearson coefficients for 2x2 settings.
 
     Pearson entries where either standard deviation vanishes are NaN with the
@@ -127,28 +179,21 @@ class CorrelatorTable:
     ``ri`` keeps its r' sides on it after the first verdict.
     """
 
-    means_a: np.ndarray               # (2,)
-    means_b: np.ndarray               # (2,)
-    var_a: np.ndarray                 # (2,)
-    var_b: np.ndarray                 # (2,)
-    cov: np.ndarray                   # (2, 2), cov[i, j] = C(A_i, B_j)
-    pearson: np.ndarray               # (2, 2)
-    pearson_defined: np.ndarray = field(default=None)  # (2, 2) bool
-    signaling_in_variance: bool = False
+    # (2,) each, then (2, 2): cov[i, j] = C(A_i, B_j), pearson, and pearson_defined as bools
+    means_a, means_b, var_a, var_b, cov, pearson, pearson_defined = map(_Array, range(7))
+    _FIELDS = ("means_a", "means_b", "var_a", "var_b", "cov", "pearson", "pearson_defined", "signaling_in_variance")
 
-    _ARRAYS = ("means_a", "means_b", "var_a", "var_b", "cov", "pearson", "pearson_defined")
-
-    def __post_init__(self) -> None:
-        given = list(map(self.__dict__.pop, self._ARRAYS))      # frozen: bypass __delattr__
-        ma, mb, va, vb = vectors = list(map(_vector, given[:4]))
-        for name, x in zip(self._ARRAYS, vectors):
+    def __init__(self, means_a, means_b, var_a, var_b, cov, pearson, pearson_defined=None,
+                 signaling_in_variance: bool = False) -> None:
+        ma, mb, va, vb = vectors = list(map(_vector, (means_a, means_b, var_a, var_b)))
+        for name, x in zip(self._FIELDS, vectors):
             if x is None or not all(map(math.isfinite, x)):
                 raise MalformedInputError(f"{name} must be a finite length-2 vector")
         if min(va + vb) < 0.0:
             raise MalformedInputError("variances must be nonnegative")
-        cov, pe = _vector(given[4], _vector), _vector(given[5], _vector)
-        mask = None if given[6] is None else _vector(given[6], _vector)
-        if cov is None or pe is None or (mask is None and given[6] is not None):
+        cov, pe = _vector(cov, _vector), _vector(pearson, _vector)
+        mask = None if pearson_defined is None else _vector(pearson_defined, _vector)
+        if cov is None or pe is None or (mask is None and pearson_defined is not None):
             raise MalformedInputError("cov and pearson must be 2x2")
         if mask is None:
             d = [math.isfinite(x) for x in pe[0] + pe[1]]
@@ -160,7 +205,8 @@ class CorrelatorTable:
         if not all(math.isfinite(cov[i][j] + ma[i] * mb[j]) for i, j in kept):     # overflow gives inf
             raise MalformedInputError("cov + mean_a * mean_b must be finite where pearson is defined")
         self.__dict__.update(_floats=(ma, mb, va, vb, cov, pe, [d[:2], d[2:]]),
-                             _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok])
+                             _undefined=[ij for ij, ok in zip(_CELLS, d) if not ok],
+                             signaling_in_variance=signaling_in_variance)
 
     def _pearson_rows(self) -> list[list[float]]:
         """The Pearson rows as floats; raises DegenerateDataError where an entry is undefined."""
@@ -172,10 +218,9 @@ class CorrelatorTable:
     def from_pearson(cls, pearson, variances=None, means=None) -> "CorrelatorTable":
         """Build a table from Pearson entries alone (unit variances, zero means)."""
         pe = _vector(pearson, _vector)
-        if pe is None:      # only this error path imports NumPy, to name the shape
-            import numpy as np
+        if pe is None:
             try:
-                shape = np.asarray(pearson, dtype=np.float64).shape
+                shape = _nested(pearson)[0]
             except (TypeError, ValueError, OverflowError):
                 raise MalformedInputError("pearson must be a 2x2 array of numbers") from None
             raise MalformedInputError(f"pearson must be 2x2, got shape {shape}")
@@ -193,41 +238,29 @@ class CorrelatorTable:
         return cls(means_a=mean_a, means_b=mean_b, var_a=var_a, var_b=var_b, cov=cov, pearson=pe)
 
 
-@dataclass(frozen=True)
-class TripartiteCorrelatorTable:
+class TripartiteCorrelatorTable(_Frozen):
     """Pairwise Pearson blocks for three parties with two settings each. Like ``CorrelatorTable``,
     it keeps the Python floats it checked and builds each array field, read-only, on its first read."""
 
-    pearson_ab: np.ndarray            # (2, 2), [i, j]
-    pearson_ac: np.ndarray            # (2, 2), [i, k]
-    pearson_bc: np.ndarray            # (2, 2), [j, k]
-    var_a: np.ndarray = None          # (2,), defaults to ones
-    var_b: np.ndarray = None
-    var_c: np.ndarray = None
+    # (2, 2) blocks [i, j], [i, k] and [j, k], then the (2,) variances, ones when not given
+    pearson_ab, pearson_ac, pearson_bc, var_a, var_b, var_c = map(_Array, range(6))
+    _FIELDS = ("pearson_ab", "pearson_ac", "pearson_bc", "var_a", "var_b", "var_c")
 
-    _ARRAYS = ("pearson_ab", "pearson_ac", "pearson_bc", "var_a", "var_b", "var_c")
-
-    def __post_init__(self) -> None:
+    def __init__(self, pearson_ab, pearson_ac, pearson_bc, var_a=None, var_b=None, var_c=None) -> None:
         floats = []
-        for name in self._ARRAYS[:3]:
-            m = _vector(self.__dict__.pop(name), _vector)
+        for name, m in zip(self._FIELDS, (pearson_ab, pearson_ac, pearson_bc)):
+            m = _vector(m, _vector)
             if m is None or not all(map(math.isfinite, m[0] + m[1])):
                 raise MalformedInputError(f"{name} must be a finite 2x2 block")
             if max(map(abs, m[0] + m[1])) > _PEARSON_MAX:
                 raise MalformedInputError(f"{name} entries must lie in [-1, 1]")
             floats.append(m)
-        for name in self._ARRAYS[3:]:
-            v = self.__dict__.pop(name)
+        for name, v in zip(self._FIELDS[3:], (var_a, var_b, var_c)):
             v = [1.0, 1.0] if v is None else _vector(v)
             if v is None or not all(0.0 <= x < math.inf for x in v):     # NaN fails
                 raise MalformedInputError(f"{name} must be a nonnegative length-2 vector")
             floats.append(v)
         self.__dict__["_floats"] = tuple(floats)
-
-
-for _table in (CorrelatorTable, TripartiteCorrelatorTable):    # in place of @dataclass's class-level defaults
-    for _k, _name in enumerate(_table._ARRAYS):
-        setattr(_table, _name, _Array(_name, _k))
 
 
 def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> list[float]:
@@ -245,6 +278,25 @@ def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> list[float]:
     return out
 
 
+def _context_moments(pt: ProbabilityTable) -> tuple[list[float], ...]:
+    """E[a], E[b], E[a^2], E[b^2] and E[ab] in each context (i, j), row-major: each one ``math.fsum``
+    of its terms p a, p b, p (a a), p (b b) and (p a) b over the context's outcome pairs (a, b)."""
+    oa, ob = pt._floats[:2]
+    a = [x for x in oa for _ in ob]         # each term's outcomes, row-major over (a, b)
+    b = ob * len(oa)
+    a2, b2 = [x * x for x in a], [y * y for y in b]
+    out = [], [], [], [], []
+    mean_a, mean_b, m2_a, m2_b, e_ab = out
+    for row in pt._contexts:
+        pa = list(map(mul, row, a))
+        mean_a.append(math.fsum(pa))
+        mean_b.append(math.fsum(map(mul, row, b)))
+        m2_a.append(math.fsum(map(mul, row, a2)))
+        m2_b.append(math.fsum(map(mul, row, b2)))
+        e_ab.append(math.fsum(map(mul, pa, b)))
+    return out
+
+
 def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
     """Moments of a probability table, per-context Pearson normalization.
 
@@ -253,22 +305,16 @@ def from_probability_table(pt: ProbabilityTable) -> CorrelatorTable:
     marginal variance differs across the other party's settings by more than
     1e-9, the table is flagged signaling-in-variance.
     """
-    import numpy as np
-    oa, ob, p = pt.outcomes_a, pt.outcomes_b, pt.p
-    # each moment of the four contexts (i, j), in row-major order
-    mean_a = np.einsum("ijab,a->ij", p, oa).ravel().tolist()
-    mean_b = np.einsum("ijab,b->ij", p, ob).ravel().tolist()
-    m2_a = np.einsum("ijab,a->ij", p, oa**2).ravel().tolist()
-    m2_b = np.einsum("ijab,b->ij", p, ob**2).ravel().tolist()
-    e_ab = np.einsum("ijab,a,b->ij", p, oa, ob).ravel().tolist()
+    mean_a, mean_b, m2_a, m2_b, e_ab = _context_moments(pt)
     var_a, var_b, cov = [], [], []
     for a, a2, b, b2, e in zip(mean_a, m2_a, mean_b, m2_b, e_ab):
         var_a.append(v if (v := a2 - a * a) > 0.0 else 0.0)
         var_b.append(v if (v := b2 - b * b) > 0.0 else 0.0)
         cov.append(e - a * b)
 
-    scale_a = max(1.0, max(map(abs, oa.tolist())) ** 2)
-    scale_b = max(1.0, max(map(abs, ob.tolist())) ** 2)
+    oa, ob = pt._floats[:2]
+    scale_a = max(1.0, max(map(abs, oa)) ** 2)
+    scale_b = max(1.0, max(map(abs, ob)) ** 2)
     pearson = _pearson(cov, var_a, var_b, _VAR_FLOOR * scale_a, _VAR_FLOOR * scale_b)
     return CorrelatorTable(
         means_a=[(mean_a[0] + mean_a[1]) / 2, (mean_a[2] + mean_a[3]) / 2],
@@ -318,9 +364,11 @@ def check_no_signaling(pt: ProbabilityTable, tol: float = 1e-9) -> dict:
     of the worst violation (the first on a tie); passes iff both maxima are <= tol.
     """
     report, worst = {"pass": True}, {}
+    oa, ob, p = pt._floats
     # each party's marginal indexed [own setting][remote setting][outcome]
-    pa, pb = pt.p.sum(axis=3).tolist(), list(zip(*pt.p.sum(axis=2).tolist()))
-    for party, marg, outcomes in (("alice", pa, pt.outcomes_a), ("bob", pb, pt.outcomes_b)):
+    pa = [[list(map(math.fsum, pij)) for pij in pi] for pi in p]
+    pb = [[list(map(math.fsum, zip(*p[i][j]))) for i in (0, 1)] for j in (0, 1)]
+    for party, marg, outcomes in (("alice", pa, oa), ("bob", pb, ob)):
         diff = [abs(x - y) for m0, m1 in marg for x, y in zip(m0, m1)]     # [setting, outcome] flat
         top = max(diff)
         report["pass"] = report["pass"] and top <= tol
@@ -329,7 +377,7 @@ def check_no_signaling(pt: ProbabilityTable, tol: float = 1e-9) -> dict:
             setting, k = divmod(diff.index(top), len(marg[0][0]))      # the first maximum, as argmax
             worst[f"worst_{party}"] = {
                 "setting": setting,
-                "outcome": outcomes.tolist()[k],
+                "outcome": outcomes[k],
                 "marginals": [marg[setting][0][k], marg[setting][1][k]],
             }
     return report | worst

@@ -10,15 +10,17 @@ Locality tests and the product-covariance contraction identity work with raw
 +-1 correlators E_ij = <A_i B_j>. Pearson-normalized correlators of a skewed
 (nonzero-mean) mixture are NOT confined to |CHSH| <= 2 (numerical search finds
 mixtures reaching 2.5), so the raw convention is the only sound one here.
+Each moment of an ensemble is ``math.fsum`` of its 16 terms +-w_k, so it is
+correctly rounded and the same on every machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
+from operator import itemgetter
 
-import numpy as np
-
-from .correlators import _VAR_FLOOR, CorrelatorTable, _pearson, chsh_max
+from .correlators import _P_MIN, _VAR_FLOOR, CorrelatorTable, _Array, _Frozen, _nested, _pearson, chsh_max
 from .errors import MalformedInputError
 
 __all__ = [
@@ -33,17 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    a0: int
-    a1: int
-    b0: int
-    b1: int
+class DeterministicStrategy(namedtuple("DeterministicStrategy", "a0 a1 b0 b1")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "a1", "b0", "b1"):
-            if getattr(self, name) not in (-1, 1):
+    def __new__(cls, a0: int, a1: int, b0: int, b1: int):
+        for name, x in zip(cls._fields, (a0, a1, b0, b1)):
+            if x not in (-1, 1):
                 raise MalformedInputError(f"{name} must be exactly -1 or +1")
+        return super().__new__(cls, a0, a1, b0, b1)
 
 
 def enumerate_vertices() -> tuple[DeterministicStrategy, ...]:
@@ -60,47 +59,56 @@ def enumerate_vertices() -> tuple[DeterministicStrategy, ...]:
 
 
 _VERTICES = enumerate_vertices()
-_VERTEX_VALUES = np.array([[v.a0, v.a1, v.b0, v.b1] for v in _VERTICES], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class LhvEnsemble:
-    """Probability weights over the 16 deterministic strategies."""
+def _terms(*variables: int) -> itemgetter:
+    """Picks the terms +-w_k of a product of the vertex values at ``variables`` (0 to 3 for a0 ... b1)
+    from the weights followed by their negations."""
+    return itemgetter(*[k if math.prod(v[i] for i in variables) > 0 else k + 16 for k, v in enumerate(_VERTICES)])
 
-    weights: np.ndarray
 
-    def __post_init__(self) -> None:
+# <a0>, <a1>, <b0>, <b1>, E[i, j] = <A_i B_j> row-major, <a0 a1>, <b0 b1>, <a0 a1 b0 b1>
+_MOMENT_TERMS = (*map(_terms, range(4)), *(_terms(i, j) for i in (0, 1) for j in (2, 3)),
+                 _terms(0, 1), _terms(2, 3), _terms(0, 1, 2, 3))
+
+
+class LhvEnsemble(_Frozen):
+    """Probability weights over the 16 deterministic strategies. The ensemble keeps the Python floats
+    it checked; ``weights`` is built from them, read-only, on its first read."""
+
+    weights = _Array(0)
+    _FIELDS = ("weights",)
+
+    def __init__(self, weights) -> None:
         try:
-            w = np.array(self.weights, dtype=np.float64)
+            shape, w = _nested(weights)
         except (TypeError, ValueError, OverflowError) as exc:     # a non-number, ragged, or a huge int
             raise MalformedInputError("weights must be an array of numbers in the float range") from exc
-        if w.shape != (16,):
-            raise MalformedInputError(f"weights must have length 16, got shape {w.shape}")
-        if not all(-1e-15 <= x < np.inf for x in w.tolist()):     # NaN fails
+        if shape != (16,):
+            raise MalformedInputError(f"weights must have length 16, got shape {shape}")
+        if not (all(map(_P_MIN.__le__, w)) and max(w) < math.inf):     # NaN fails the first
             raise MalformedInputError("weights must be finite and nonnegative")
-        total = float(w.sum())
+        total = math.fsum(w)
         if abs(total - 1.0) > 1e-12:
             raise MalformedInputError(f"weights must sum to 1 within 1e-12, got {total!r}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self.__dict__["_floats"] = (w,)
 
     @classmethod
     def uniform(cls) -> "LhvEnsemble":
-        return cls(np.full(16, 1.0 / 16.0))
+        return cls([1.0 / 16.0] * 16)
 
     @classmethod
     def point(cls, index: int) -> "LhvEnsemble":
-        w = np.zeros(16)
+        w = [0.0] * 16
         w[index] = 1.0
         return cls(w)
 
     @classmethod
     def random(cls, rng: np.random.Generator, concentration: float = 1.0) -> "LhvEnsemble":
-        return cls(rng.dirichlet(np.full(16, concentration)))
+        return cls(rng.dirichlet([concentration] * 16))
 
 
-@dataclass(frozen=True)
-class LhvStatistics:
+class LhvStatistics(namedtuple("LhvStatistics", "table raw_e r r_bar q")):
     """Moment summary of an ensemble, with the hidden cross moments.
 
     ``r`` is C(A0, A1) (the admissible uncertainty parameter every local model
@@ -108,41 +116,43 @@ class LhvStatistics:
     <A0 A1 B0 B1>, and ``raw_e`` the raw correlator matrix E[i, j].
     """
 
-    table: CorrelatorTable
-    raw_e: np.ndarray
-    r: float
-    r_bar: float
-    q: float
+    __slots__ = ()
 
     @property
     def r_prime(self) -> float | None:
-        va = self.table.var_a
+        va = self.table._floats[2]
         if va[0] <= _VAR_FLOOR or va[1] <= _VAR_FLOOR:
             return None
-        return float(self.r / np.sqrt(va[0] * va[1]))
+        return self.r / math.sqrt(va[0] * va[1])
 
 
-def _ensemble_moments(ens: LhvEnsemble) -> tuple[CorrelatorTable, list[float], np.ndarray]:
-    """The correlator table, the means (a0, a1, b0, b1) and the raw correlators E[i, j]."""
-    w = ens.weights
-    means = (w @ _VERTEX_VALUES).tolist()            # second moments are 1
-    e = np.einsum("k,ki,kj->ij", w, _VERTEX_VALUES[:, :2], _VERTEX_VALUES[:, 2:])     # E[i, j] = <A_i B_j>
-    var = [v if (v := 1.0 - m * m) > 0.0 else 0.0 for m in means]
-    ma, mb = means[:2], means[2:]
-    (e00, e01), (e10, e11) = e.tolist()
+def _raw_moments(ens: LhvEnsemble, n: int) -> list[float]:
+    """The first ``n`` moments of ``_MOMENT_TERMS``, each ``math.fsum`` of its 16 terms +-w_k."""
+    w = ens._floats[0]
+    signed = w + [-x for x in w]
+    return [math.fsum(pick(signed)) for pick in _MOMENT_TERMS[:n]]
+
+
+def _ensemble_moments(ens: LhvEnsemble) -> tuple[CorrelatorTable, list[float]]:
+    """The correlator table and the raw moments: the means (a0, a1, b0, b1), then E[i, j] row-major."""
+    m = _raw_moments(ens, 8)         # second moments are 1
+    var = [v if (v := 1.0 - x * x) > 0.0 else 0.0 for x in m[:4]]
+    ma, mb = m[:2], m[2:4]
+    e00, e01, e10, e11 = m[4:]
     cov = [e00 - ma[0] * mb[0], e01 - ma[0] * mb[1], e10 - ma[1] * mb[0], e11 - ma[1] * mb[1]]
     pearson = _pearson(cov, (var[0], var[0], var[1], var[1]), (var[2], var[3]) * 2, _VAR_FLOOR, _VAR_FLOOR)
     table = CorrelatorTable(means_a=ma, means_b=mb, var_a=var[:2], var_b=var[2:],
                             cov=[cov[:2], cov[2:]], pearson=[pearson[:2], pearson[2:]])
-    return table, means, e
+    return table, m
 
 
 def statistics_of(ens: LhvEnsemble) -> LhvStatistics:
     """Full moment summary by direct expectation over the 16 vertices."""
-    table, m, e = _ensemble_moments(ens)
-    w, v = ens.weights, _VERTEX_VALUES
-    return LhvStatistics(table=table, raw_e=e, r=float(w @ (v[:, 0] * v[:, 1])) - m[0] * m[1],
-                         r_bar=float(w @ (v[:, 2] * v[:, 3])) - m[2] * m[3], q=float(w @ np.prod(v, axis=1)))
+    import numpy as np
+    table, m = _ensemble_moments(ens)
+    r, r_bar, q = _raw_moments(ens, 11)[8:]
+    return LhvStatistics(table=table, raw_e=np.array([m[4:6], m[6:8]]), r=r - m[0] * m[1],
+                         r_bar=r_bar - m[2] * m[3], q=q)
 
 
 def correlators_of(ens: LhvEnsemble) -> CorrelatorTable:
@@ -156,12 +166,13 @@ def is_local(e, tol: float = 1e-9) -> bool:
     True iff every CHSH facet value is <= 2 + tol. Entries beyond [-1, 1] + tol
     are rejected as out of range.
     """
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape != (2, 2) or not np.all(np.isfinite(e)):
+    shape, flat = _nested(e)
+    if shape != (2, 2) or not all(map(math.isfinite, flat)):
         raise MalformedInputError("correlator matrix must be a finite 2x2 array")
-    if np.abs(e).max() > 1.0 + tol:
-        raise MalformedInputError(f"correlators out of range [-1, 1]: {e.tolist()}")
-    return chsh_max(e.tolist()) <= 2.0 + tol
+    e = [flat[:2], flat[2:]]
+    if max(map(abs, flat)) > 1.0 + tol:
+        raise MalformedInputError(f"correlators out of range [-1, 1]: {e}")
+    return chsh_max(e) <= 2.0 + tol
 
 
 def product_cov_matrix(ens: LhvEnsemble) -> np.ndarray:
@@ -182,13 +193,10 @@ def product_cov_matrix(ens: LhvEnsemble) -> np.ndarray:
     combination A0 B0 + A1 B0 + A0 B1 - A1 B1 has magnitude 2 pointwise, so
     its variance is 4 - (E B)^2.
     """
-    stats = statistics_of(ens)
-    e = stats.raw_e
-    raw_r = float(ens.weights @ (_VERTEX_VALUES[:, 0] * _VERTEX_VALUES[:, 1]))
-    raw_rbar = float(ens.weights @ (_VERTEX_VALUES[:, 2] * _VERTEX_VALUES[:, 3]))
-    q = stats.q
-    r0 = e[:, 0]
-    r1 = e[:, 1]
+    import numpy as np
+    e00, e01, e10, e11, raw_r, raw_rbar, q = _raw_moments(ens, 11)[4:]
+    r0 = np.array([e00, e10])
+    r1 = np.array([e01, e11])
     p = np.array([[1.0, raw_r], [raw_r, 1.0]])
     cross = np.array([[raw_rbar, q], [q, raw_rbar]])
     m = np.block(

@@ -33,8 +33,7 @@ their contexts to the same rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .correlators import CorrelatorTable, TripartiteCorrelatorTable, chsh, chsh_max
 from .errors import MalformedInputError, PreconditionError
@@ -60,17 +59,15 @@ __all__ = [
 DEFAULT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class RInterval:
+class RInterval(namedtuple("RInterval", "lo hi context")):
     """Admissible range of the normalized uncertainty parameter in one context."""
 
-    lo: float
-    hi: float
-    context: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
-            raise MalformedInputError(f"invalid interval [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: float, hi: float, context: str):
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            raise MalformedInputError(f"invalid interval [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi, context)
 
     def contains(self, x: float, slack: float = DEFAULT_SLACK) -> bool:
         return self.lo - slack <= x <= self.hi + slack
@@ -79,14 +76,12 @@ class RInterval:
         return {"context": self.context, "lo": self.lo, "hi": self.hi}
 
 
-class _Side(NamedTuple):
-    """One parameter's admissible intervals c_s +- h_s, one per context s."""
+class _Side(namedtuple("_Side", "labels c h gap mid")):
+    """One parameter's admissible intervals c_s +- h_s, one per context s: the ``labels``, centers
+    ``c`` and half-widths ``h`` as tuples, the signed ``gap`` max lo - min hi (the distance apart
+    when > 0), and ``mid`` = 0.5 (max lo + min hi), the common value when the intervals meet."""
 
-    labels: tuple[str, ...]
-    c: tuple[float, ...]
-    h: tuple[float, ...]
-    gap: float          # max lo - min hi: the distance apart when > 0
-    mid: float          # 0.5 (max lo + min hi), the common value when the intervals meet
+    __slots__ = ()
 
     def intervals(self) -> tuple[RInterval, ...]:
         return tuple([RInterval(c - h, c + h, label) for label, c, h in zip(self.labels, self.c, self.h)])
@@ -129,42 +124,32 @@ def _pearson_contexts(rows) -> tuple[tuple, tuple]:
     return ((p00 * p10, d00, d10), (p01 * p11, d01, d11)), ((p00 * p01, d00, d01), (p10 * p11, d10, d11))
 
 
-class TlmResult(NamedTuple):
-    passed: bool
-    lhs: tuple[float, float]
-    rhs: tuple[float, float]
+class TlmResult(namedtuple("TlmResult", "passed lhs rhs")):
+    """Whether the two-row bound holds, and each row's two sides: ``lhs`` and ``rhs`` are pairs."""
+
+    __slots__ = ()
 
     @property
     def slack(self) -> tuple[float, float]:
         return (self.rhs[0] - self.lhs[0], self.rhs[1] - self.lhs[1])
 
 
-class Verdict(NamedTuple):
+class Verdict(namedtuple("Verdict", "alice bob tol local no_signaling signaling_in_variance ri_feasible "
+                                   "quantum_compatible witness_r witness_r_bar epsilon intervals chsh")):
     """The one record of a bipartite table: every verdict on it, and each table verb's JSON, reads it.
 
-    ``alice`` holds r' under Bob's settings j, ``bob`` r-bar' under Alice's i;
-    they, ``intervals`` and ``chsh`` (Pearson CHSH) do not depend on ``tol``.
-    ``ri_feasible`` (= ``quantum_compatible``) iff each side's signed gap is at
-    most ``tol``; the witnesses are then the meeting points. ``epsilon`` is 0.0
+    ``alice`` holds r' under Bob's settings j, ``bob`` r-bar' under Alice's i (each a ``_Side``);
+    they, ``intervals`` (Alice's two ``RInterval``s, then Bob's two) and ``chsh`` (Pearson CHSH) do
+    not depend on ``tol``. ``ri_feasible`` (= ``quantum_compatible``) iff each side's signed gap is at
+    most ``tol``; the witnesses are then the meeting points, else None. ``epsilon`` is 0.0
     when feasible, else Alice's gap, or Bob's where Alice's intervals meet up to
     rounding (a tangent table's gaps can differ in sign by ~1e-11): never 0 then.
-    ``local`` is ``classify``'s. The five views are ``to_json_dict`` (``classify``)
+    ``local`` is ``classify``'s (True, False or None), and ``no_signaling`` a probability table's
+    report or None. The five views are ``to_json_dict`` (``classify``)
     and the four ``*_view`` methods; every table verb exits 0 iff ``ri_feasible``.
     """
 
-    alice: _Side
-    bob: _Side
-    tol: float
-    local: bool | None
-    no_signaling: dict | None
-    signaling_in_variance: bool
-    ri_feasible: bool
-    quantum_compatible: bool
-    witness_r: float | None
-    witness_r_bar: float | None
-    epsilon: float
-    intervals: tuple[RInterval, ...]     # Alice's two, then Bob's two
-    chsh: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -327,11 +312,11 @@ def g_theta(theta: float, sigma0: float, sigma1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TripartiteIntervalResult:
-    intervals: tuple[RInterval, ...]
-    common_r: float | None
-    infeasible_contexts: tuple[str, ...]
+class TripartiteIntervalResult(namedtuple("TripartiteIntervalResult", "intervals common_r infeasible_contexts")):
+    """The kept contexts' ``RInterval``s, the common r' or None, and the labels of the contexts
+    that admit no r'."""
+
+    __slots__ = ()
 
     @property
     def feasible(self) -> bool:

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 
+from oracles import VERTEX_VALUES
+
 from bellri.correlators import pr_box_table
 from bellri.errors import DegenerateScenarioError, MalformedInputError, PreconditionError
-from bellri.lhv import _VERTEX_VALUES
 from bellri.multiparty import NPartyCorrelators, nparty_bound_check
 from bellri.qmodel import (
     Observable,
@@ -257,7 +258,7 @@ def float_bits(x):
 def lhv_probabilities(weights) -> np.ndarray:
     """p[i, j, a, b] of a mixture of the 16 deterministic strategies, outcomes (-1, +1)."""
     p = np.zeros((2, 2, 2, 2))
-    for w, (a0, a1, b0, b1) in zip(weights, _VERTEX_VALUES):
+    for w, (a0, a1, b0, b1) in zip(weights, VERTEX_VALUES):
         for i, a in enumerate((a0, a1)):
             for j, b in enumerate((b0, b1)):
                 p[i, j, int(a > 0), int(b > 0)] += w

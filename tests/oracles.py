@@ -8,16 +8,21 @@ explicit Kronecker-product operators, spectral projectors), so a test can
 check the two routes agree.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from bellri.correlators import CorrelatorTable, ProbabilityTable, TripartiteCorrelatorTable
 from bellri.errors import MalformedInputError
-from bellri.lhv import _VERTEX_VALUES, LhvEnsemble
+from bellri.lhv import LhvEnsemble, enumerate_vertices
 from bellri.linalg import is_psd
 from bellri.multiparty import NPartyCorrelators
 from bellri.qmodel import Observable, QuantumScenario, _pair_block
 
 _MERGE_TOL = 1e-9           # eigenvalues this close are one outcome of an observable
+
+# the values (a0, a1, b0, b1) of the 16 deterministic strategies, one row per vertex index k
+VERTEX_VALUES = np.array(enumerate_vertices(), dtype=np.float64)
 
 # the eight CHSH facet sign patterns, indexed like pearson[i][j]: one odd -1 entry
 # at (1, 1), (1, 0), (0, 1), (0, 0), then those four negated; ``chsh_max`` is
@@ -143,10 +148,10 @@ def product_cov_oracle(ens: LhvEnsemble) -> np.ndarray:
     w = ens.weights
     z = np.stack(
         [
-            _VERTEX_VALUES[:, 0] * _VERTEX_VALUES[:, 2],
-            _VERTEX_VALUES[:, 1] * _VERTEX_VALUES[:, 2],
-            _VERTEX_VALUES[:, 0] * _VERTEX_VALUES[:, 3],
-            _VERTEX_VALUES[:, 1] * _VERTEX_VALUES[:, 3],
+            VERTEX_VALUES[:, 0] * VERTEX_VALUES[:, 2],
+            VERTEX_VALUES[:, 1] * VERTEX_VALUES[:, 2],
+            VERTEX_VALUES[:, 0] * VERTEX_VALUES[:, 3],
+            VERTEX_VALUES[:, 1] * VERTEX_VALUES[:, 3],
         ]
     )
     mu = z @ w
@@ -276,9 +281,10 @@ def probability_fault_oracle(outcomes_a, outcomes_b, p) -> str | None:
         return f"p must have shape (2, 2, {oa.size}, {ob.size}), got {pr.shape}"
     if not np.all(np.isfinite(pr)) or np.any(pr < -1e-15):
         return "probabilities must be finite and nonnegative"
-    sums = pr.sum(axis=(2, 3))
-    if np.abs(sums - 1.0).max() > 1e-12:
-        return f"each setting pair must be normalized to 1 within 1e-12, sums={sums.tolist()}"
+    # each total summed exactly and rounded once
+    sums = [[float(sum(map(Fraction, pr[i, j].ravel().tolist()))) for j in (0, 1)] for i in (0, 1)]
+    if max(abs(x - 1.0) for row in sums for x in row) > 1e-12:
+        return f"each setting pair must be normalized to 1 within 1e-12, sums={sums}"
     return None
 
 

@@ -253,36 +253,71 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def imported_modules(*argv) -> set[str]:
-    """The modules a fresh ``python -X importtime -m bellri.cli <argv>`` loads, from its import-time lines."""
+def imported_modules(*argv, site: bool = True, codes=(0, 1)) -> set[str]:
+    """The modules a fresh ``python -X importtime -m bellri.cli <argv>`` loads, from its import-time lines.
+
+    With ``site=False`` the child runs with ``-S``: no site-packages, so NumPy cannot load, and none
+    of the modules that the installation's ``.pth`` files import at startup (some import ``typing``).
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bellri.cli", *argv],
+    flags = () if site else ("-S",)
+    proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "bellri.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.returncode in codes and "Traceback" not in proc.stderr, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
 
+TABLE_VERBS = ["classify", "epsilon", "tlm-check", "ri-intervals", "geometry"]
+NOT_ON_THE_TABLE_ROUTE = {"numpy", "dataclasses", "inspect", "typing"}
+
+
 class TestImportGuard:
-    """The Pearson-table verbs and ``pr-demo`` never load NumPy; the probability route and the
-    multiparty verbs load no scenario code."""
+    """The table verbs and ``pr-demo`` run on the standard library alone: no NumPy, ``dataclasses``,
+    ``inspect`` or ``typing``, on every bipartite payload kind and on malformed tables; the
+    probability route and the multiparty verbs load no scenario code."""
 
     @pytest.mark.parametrize("table", ["tangent", "moments"])
-    @pytest.mark.parametrize("verb", ["classify", "epsilon", "tlm-check", "ri-intervals", "geometry"])
+    @pytest.mark.parametrize("verb", TABLE_VERBS)
     def test_pearson_table_verbs_load_no_numpy(self, verb, table):
         loaded = imported_modules(verb, "--input", str(GOLDEN / f"{table}.json"))
         assert "bellri.ri" in loaded
         assert not {m for m in loaded if m.split(".")[0] == "numpy"}
 
     def test_pr_demo_loads_no_numpy(self):
-        loaded = imported_modules("pr-demo")
+        loaded = imported_modules("pr-demo", site=False)
         assert "bellri.ri" in loaded
-        assert not {m for m in loaded if m.split(".")[0] == "numpy"}
+        assert not loaded & NOT_ON_THE_TABLE_ROUTE
 
-    @pytest.mark.parametrize("verb", ["classify", "epsilon", "tlm-check", "ri-intervals", "geometry"])
+    @pytest.mark.parametrize("table", ["tangent", "moments", "tsirelson", "probabilities_3x3", "ensemble", "pr_box"])
+    @pytest.mark.parametrize("verb", TABLE_VERBS)
+    def test_table_verbs_load_only_the_standard_library(self, verb, table):
+        loaded = imported_modules(verb, "--input", str(GOLDEN / f"{table}.json"), site=False)
+        assert "bellri.ri" in loaded
+        assert not loaded & NOT_ON_THE_TABLE_ROUTE
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"pearson": [[0.5, 0.1], [0.2, 0.3], [0.0, 0.0]]},
+            {"pearson": [[0.5, 0.1], [0.2]]},
+            {"ensemble": {"weights": 0.5}},
+            {"ensemble": {"weights": [0.5] * 16}},
+            {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[0.25] * 4] * 2] * 2}},
+            {"probabilities": {"outcomes_a": [-1, 1], "outcomes_b": [-1, 1], "p": [[[[0.5] * 2] * 2] * 2] * 2}},
+        ],
+    )
+    def test_malformed_tables_load_only_the_standard_library(self, tmp_path, payload):
+        # the error path names a shape or a sum without NumPy
+        loaded = imported_modules("classify", "--input", write_json(tmp_path, "m.json", payload), site=False,
+                                  codes=(2,))
+        assert "bellri.correlators" in loaded
+        assert not loaded & NOT_ON_THE_TABLE_ROUTE
+
+    @pytest.mark.parametrize("verb", TABLE_VERBS)
     def test_probability_table_loads_no_scenario_modules(self, verb):
         # every table verb runs check_no_signaling and box_is_local on a probability table
         loaded = imported_modules(verb, "--input", str(GOLDEN / "probabilities_3x3.json"))
-        assert "numpy" in loaded
+        assert "numpy" not in loaded
         assert not loaded & {"bellri.qmodel", "bellri.optimizer", "bellri.multiparty"}
 
     @pytest.mark.parametrize("verb", ["monogamy", "zeta-bound", "nparty"])

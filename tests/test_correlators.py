@@ -1,13 +1,19 @@
 """Correlation data model tests: moments, CHSH, no-signaling."""
 
 import json
-from dataclasses import fields
+import os
+import platform
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import float_bits
-from oracles import chsh_raw, probability_fault_oracle, table_fault_oracle, tripartite_fault_oracle
+from oracles import VERTEX_VALUES, chsh_raw, probability_fault_oracle, table_fault_oracle, tripartite_fault_oracle
+
+from bellri import correlators, lhv
 
 from bellri.correlators import (
     CorrelatorTable,
@@ -150,19 +156,37 @@ class TestFromPearson:
         assert str(info.value) == message
 
 
+# every field of each table class, in constructor order
+TABLE_FIELDS = ("means_a", "means_b", "var_a", "var_b", "cov", "pearson", "pearson_defined", "signaling_in_variance")
+ARRAY_FIELDS = {CorrelatorTable: TABLE_FIELDS[:-1],
+                TripartiteCorrelatorTable: ("pearson_ab", "pearson_ac", "pearson_bc", "var_a", "var_b", "var_c"),
+                ProbabilityTable: ("outcomes_a", "outcomes_b", "p"), LhvEnsemble: ("weights",)}
+
+
 class TestArrayFields:
     def test_each_array_is_built_on_first_read_read_only_and_kept(self):
         tables = [CorrelatorTable.from_pearson([[0.5, np.nan], [0.2, 0.3]]),
-                  TripartiteCorrelatorTable(np.eye(2) * 0.5, np.zeros((2, 2)), np.zeros((2, 2)))]
+                  TripartiteCorrelatorTable(np.eye(2) * 0.5, np.zeros((2, 2)), np.zeros((2, 2))),
+                  ProbabilityTable([-1, 0, 1], [2], [[[[0.5], [0.25], [0.25]]] * 2] * 2), LhvEnsemble.point(3)]
         for t in tables:
-            names = [f.name for f in fields(t) if f.name != "signaling_in_variance"]
+            names = ARRAY_FIELDS[type(t)]
             assert not set(names) & set(vars(t))
             for name in names:
                 a = getattr(t, name)
                 assert getattr(t, name) is a and vars(t)[name] is a and not a.flags.writeable
-        ct, tct = tables
+        ct, tct, pt, ens = tables
         assert ct.pearson_defined.tolist() == [[True, False], [True, True]]
         assert tct.var_c.dtype == np.float64 and tct.var_c.tolist() == [1.0, 1.0]
+        assert pt.outcomes_a.dtype == np.float64 and pt.outcomes_a.tolist() == [-1.0, 0.0, 1.0]
+        assert pt.p.shape == (2, 2, 3, 1) and pt.p[1, 0, :, 0].tolist() == [0.5, 0.25, 0.25]
+        assert ens.weights.shape == (16,) and ens.weights.tolist() == [0.0] * 3 + [1.0] + [0.0] * 12
+
+    def test_records_are_immutable(self):
+        for t in (CorrelatorTable.from_pearson([[0.5, 0.1], [0.2, 0.3]]), pr_box_table(), LhvEnsemble.uniform()):
+            with pytest.raises(AttributeError):
+                t.p = None
+            with pytest.raises(AttributeError):
+                del t._floats
 
 
 class TestFromProbabilityTable:
@@ -335,7 +359,7 @@ def _local_table(rng, oa, ob, concentration):
 
 
 def _table_fields(ct):
-    return {f.name: float_bits(getattr(ct, f.name)) for f in fields(ct)}
+    return {name: float_bits(getattr(ct, name)) for name in TABLE_FIELDS}
 
 
 def _probability_bits(pt):
@@ -347,7 +371,7 @@ def _probability_bits(pt):
 def _ensemble_bits(weights):
     ens = LhvEnsemble(weights)
     stats = statistics_of(ens)
-    rec = {f.name: float_bits(getattr(stats, f.name)) for f in fields(stats) if f.name != "table"}
+    rec = {name: float_bits(getattr(stats, name)) for name in ("raw_e", "r", "r_bar", "q")}
     rec["r_prime"] = float_bits(stats.r_prime)
     return {"correlators_of": _table_fields(correlators_of(ens)),
             "statistics_of": dict(table=_table_fields(stats.table), **rec)}
@@ -400,8 +424,75 @@ def table_bit_record() -> dict:
     return rec
 
 
+def _no_forced_kernel() -> str | None:
+    """Why this machine cannot run NumPy's BLAS on another CPU's kernel, or None if it can."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"OPENBLAS_CORETYPE names x86-64 kernels; this machine is {platform.machine()}"
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return "NumPy's BLAS is not a DYNAMIC_ARCH OpenBLAS build, which alone picks its kernel at load time"
+    return None
+
+
 class TestTableBitIdentity:
     def test_tables_match_golden_bits(self):
         # any change to the table path's arithmetic or to its stored arrays
         # shows here as a changed bit, not as a drift inside a tolerance
         assert table_bit_record() == json.loads(TABLE_BITS.read_text(encoding="utf-8"))
+
+    @pytest.mark.skipif(_no_forced_kernel() is not None, reason=str(_no_forced_kernel()))
+    def test_bits_do_not_depend_on_the_blas_kernel(self):
+        # the same record in a child whose OpenBLAS runs the Haswell (AVX2) kernel, the one an
+        # AVX2-only CPU gets, whatever this CPU's own kernel is
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_VERBOSE="2",
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        code = "import json, test_correlators; print(json.dumps(test_correlators.table_bit_record()))"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "Core: Haswell" in proc.stderr       # the kernel was forced
+        assert json.loads(proc.stdout) == json.loads(TABLE_BITS.read_text(encoding="utf-8"))
+
+
+def _exact(terms) -> float:
+    """The float terms summed exactly and rounded once."""
+    return float(sum(map(Fraction, terms)))
+
+
+class TestCorrectlyRoundedSums:
+    """Each moment of a probability table or an ensemble is its float terms summed exactly and rounded once."""
+
+    @pytest.mark.parametrize("na, nb", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_probability_moments_and_marginals(self, na, nb):
+        rng = np.random.default_rng([2027, na, nb])
+        for _ in range(40):
+            pt = random_probability_table(rng, na, nb)
+            oa, ob, p = pt.outcomes_a.tolist(), pt.outcomes_b.tolist(), pt.p.tolist()
+            moments = correlators._context_moments(pt)
+            for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+                cells = [(p[i][j][x][y], a, b) for x, a in enumerate(oa) for y, b in enumerate(ob)]
+                terms = ([q * a for q, a, _ in cells], [q * b for q, _, b in cells],
+                         [q * (a * a) for q, a, _ in cells], [q * (b * b) for q, _, b in cells],
+                         [q * a * b for q, a, b in cells])
+                assert [m[k] for m in moments] == [_exact(t) for t in terms]
+            report = check_no_signaling(pt, tol=0.0)
+            alice, bob = report["worst_alice"], report["worst_bob"]
+            s, x = alice["setting"], oa.index(alice["outcome"])
+            assert alice["marginals"] == [_exact(p[s][j][x]) for j in (0, 1)]
+            s, y = bob["setting"], ob.index(bob["outcome"])
+            assert bob["marginals"] == [_exact([row[y] for row in p[i][s]]) for i in (0, 1)]
+
+    def test_ensemble_moments(self):
+        rng = np.random.default_rng(2028)
+        v = VERTEX_VALUES
+        signs = [*v.T, v[:, 0] * v[:, 2], v[:, 0] * v[:, 3], v[:, 1] * v[:, 2], v[:, 1] * v[:, 3],
+                 v[:, 0] * v[:, 1], v[:, 2] * v[:, 3], v.prod(axis=1)]
+        for n in range(200):
+            w = rng.dirichlet(np.full(16, (0.05, 0.3, 1.0, 2.0)[n % 4]))
+            ens = LhvEnsemble(w)
+            w = w.tolist()
+            expected = [_exact([x if sign > 0 else -x for x, sign in zip(w, s)]) for s in signs]
+            assert lhv._raw_moments(ens, 11) == expected
+            stats = statistics_of(ens)
+            assert stats.raw_e.ravel().tolist() == expected[4:8] and stats.q == expected[10]
