@@ -59,6 +59,10 @@ def _vector(obj, entry=float) -> list | None:
     return None if a is None or b is None else [a, b]
 
 
+_SEQUENCES = {list, tuple}
+_PLAIN = {list, tuple, float, int}
+
+
 def _nested(obj) -> tuple[tuple[int, ...], list[float]]:
     """The shape ``np.array(obj, dtype=np.float64)`` would have, and its entries as floats in row-major order.
 
@@ -88,10 +92,6 @@ def _nested(obj) -> tuple[tuple[int, ...], list[float]]:
         if None not in level:
             raise
         return tuple(shape), [math.nan if x is None else float(x) for x in level]
-
-
-_SEQUENCES = {list, tuple}
-_PLAIN = {list, tuple, float, int}
 
 
 class _Array:
@@ -157,15 +157,14 @@ class ProbabilityTable(_Frozen):
         if not (all(map(_P_MIN.__le__, flat)) and max(flat) < math.inf):     # NaN fails the first
             raise MalformedInputError("probabilities must be finite and nonnegative")
         n = na * nb
-        contexts = [flat[k:k + n] for k in range(0, 4 * n, n)]      # p[i][j] flat, (i, j) row-major
-        sums = list(map(math.fsum, contexts))
+        sums = [math.fsum(flat[k:k + n]) for k in range(0, 4 * n, n)]      # (i, j) row-major
         if any(abs(x - 1.0) > 1e-12 for x in sums):
             raise MalformedInputError(
                 f"each setting pair must be normalized to 1 within 1e-12, sums={[sums[:2], sums[2:]]}"
             )
         rows = [flat[k:k + nb] for k in range(0, 4 * n, nb)]       # p[i][j][a], one list per (i, j, a)
-        self.__dict__.update(_floats=(oa, ob, [[rows[k:k + na] for k in range(m, m + 2 * na, na)]
-                                               for m in (0, 2 * na)]), _contexts=contexts)
+        self.__dict__["_floats"] = (oa, ob, [[rows[k:k + na] for k in range(m, m + 2 * na, na)]
+                                             for m in (0, 2 * na)])
 
 
 class CorrelatorTable(_Frozen):
@@ -281,13 +280,14 @@ def _pearson(cov, var_a, var_b, floor_a: float, floor_b: float) -> list[float]:
 def _context_moments(pt: ProbabilityTable) -> tuple[list[float], ...]:
     """E[a], E[b], E[a^2], E[b^2] and E[ab] in each context (i, j), row-major: each one ``math.fsum``
     of its terms p a, p b, p (a a), p (b b) and (p a) b over the context's outcome pairs (a, b)."""
-    oa, ob = pt._floats[:2]
+    oa, ob, p = pt._floats
     a = [x for x in oa for _ in ob]         # each term's outcomes, row-major over (a, b)
     b = ob * len(oa)
     a2, b2 = [x * x for x in a], [y * y for y in b]
     out = [], [], [], [], []
     mean_a, mean_b, m2_a, m2_b, e_ab = out
-    for row in pt._contexts:
+    for pij in (*p[0], *p[1]):
+        row = list(chain.from_iterable(pij))
         pa = list(map(mul, row, a))
         mean_a.append(math.fsum(pa))
         mean_b.append(math.fsum(map(mul, row, b)))

@@ -133,12 +133,12 @@ def _raw_moments(ens: LhvEnsemble, n: int) -> list[float]:
     return [math.fsum(pick(signed)) for pick in _MOMENT_TERMS[:n]]
 
 
-def _ensemble_moments(ens: LhvEnsemble) -> tuple[CorrelatorTable, list[float]]:
-    """The correlator table and the raw moments: the means (a0, a1, b0, b1), then E[i, j] row-major."""
-    m = _raw_moments(ens, 8)         # second moments are 1
+def _ensemble_moments(ens: LhvEnsemble, n: int = 8) -> tuple[CorrelatorTable, list[float]]:
+    """The correlator table and the first ``n`` >= 8 raw moments (``_raw_moments``)."""
+    m = _raw_moments(ens, n)         # second moments are 1
     var = [v if (v := 1.0 - x * x) > 0.0 else 0.0 for x in m[:4]]
     ma, mb = m[:2], m[2:4]
-    e00, e01, e10, e11 = m[4:]
+    e00, e01, e10, e11 = m[4:8]
     cov = [e00 - ma[0] * mb[0], e01 - ma[0] * mb[1], e10 - ma[1] * mb[0], e11 - ma[1] * mb[1]]
     pearson = _pearson(cov, (var[0], var[0], var[1], var[1]), (var[2], var[3]) * 2, _VAR_FLOOR, _VAR_FLOOR)
     table = CorrelatorTable(means_a=ma, means_b=mb, var_a=var[:2], var_b=var[2:],
@@ -149,8 +149,8 @@ def _ensemble_moments(ens: LhvEnsemble) -> tuple[CorrelatorTable, list[float]]:
 def statistics_of(ens: LhvEnsemble) -> LhvStatistics:
     """Full moment summary by direct expectation over the 16 vertices."""
     import numpy as np
-    table, m = _ensemble_moments(ens)
-    r, r_bar, q = _raw_moments(ens, 11)[8:]
+    table, m = _ensemble_moments(ens, 11)
+    r, r_bar, q = m[8:]
     return LhvStatistics(table=table, raw_e=np.array([m[4:6], m[6:8]]), r=r - m[0] * m[1],
                          r_bar=r_bar - m[2] * m[3], q=q)
 
