@@ -279,18 +279,18 @@ class TestImportGuard:
     @pytest.mark.parametrize("table", ["tangent", "moments"])
     @pytest.mark.parametrize("verb", TABLE_VERBS)
     def test_pearson_table_verbs_load_no_numpy(self, verb, table):
-        loaded = imported_modules(verb, "--input", str(GOLDEN / f"{table}.json"))
+        loaded = imported_modules(verb, "--input", str(GOLDEN / f"{table}.json"), site=False)
         assert "bellri.ri" in loaded
-        assert not {m for m in loaded if m.split(".")[0] == "numpy"}
+        assert not loaded & NOT_ON_THE_TABLE_ROUTE
 
     def test_pr_demo_loads_no_numpy(self):
         loaded = imported_modules("pr-demo", site=False)
         assert "bellri.ri" in loaded
         assert not loaded & NOT_ON_THE_TABLE_ROUTE
 
-    @pytest.mark.parametrize("table", ["tangent", "moments", "tsirelson", "probabilities_3x3", "ensemble", "pr_box"])
+    @pytest.mark.parametrize("table", ["probabilities_3x3", "ensemble", "pr_box"])
     @pytest.mark.parametrize("verb", TABLE_VERBS)
-    def test_table_verbs_load_only_the_standard_library(self, verb, table):
+    def test_other_table_kinds_load_only_the_standard_library(self, verb, table):
         loaded = imported_modules(verb, "--input", str(GOLDEN / f"{table}.json"), site=False)
         assert "bellri.ri" in loaded
         assert not loaded & NOT_ON_THE_TABLE_ROUTE
